@@ -292,7 +292,6 @@ def build_parser():
     p.add_argument("kind", choices=["mis", "im", "is", "mc"])
     p.add_argument("file", help="graph, creation sequence, or cover file")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker budget (results identical)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("convert", help="translate between graphs and knapsack instances")

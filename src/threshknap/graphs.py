@@ -258,15 +258,13 @@ def format_graph(g):
 
 
 def maximal_cliques(g):
-    """All maximal cliques, canonical order (Bron-Kerbosch with pivoting)."""
+    """All maximal cliques, canonical order (Bron-Kerbosch with pivoting).
+    The recursion runs on an explicit stack, so clique size is not bounded
+    by the interpreter's recursion limit."""
     adj = adjacency_masks(g)
-    full = (1 << g.n) - 1
     out = []
 
-    def expand(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
+    def pivot_candidates(p, x):
         # pivot: vertex of p|x with most neighbors inside p
         pux = p | x
         best, best_cnt = -1, -1
@@ -274,21 +272,32 @@ def maximal_cliques(g):
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            cnt = bin(adj[v] & p).count("1")
+            cnt = (adj[v] & p).bit_count()
             if cnt > best_cnt:
                 best, best_cnt = v, cnt
             m ^= low
-        cand = p & ~adj[best]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            expand(r | low, p & adj[v], x & adj[v])
-            p ^= low
-            x |= low
-            cand ^= low
+        return p & ~adj[best]
 
+    # frames [r, p, x, candidates left]; a child call takes the lowest
+    # candidate, after which the parent moves it from p to x
+    stack = []
     if g.n:
-        expand(0, full, 0)
+        full = (1 << g.n) - 1
+        stack.append([0, full, 0, pivot_candidates(full, 0)])
+    while stack:
+        frame = stack[-1]
+        r, p, x, cand = frame
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        frame[1], frame[2], frame[3] = p ^ low, x | low, cand ^ low
+        cr, cp, cx = r | low, p & adj[v], x & adj[v]
+        if cp == 0 and cx == 0:
+            out.append(cr)
+        else:
+            stack.append([cr, cp, cx, pivot_candidates(cp, cx)])
     return canonical_family(set_of_mask(m) for m in out)
 
 

@@ -13,13 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple
 
 from .graphs import Graph, clique_number, format_graph
 from .kthreshold import ThresholdCover, enumerate_mis_k, omega_intersection
 from .threshold import (
     CreationSequence,
-    RecognitionFailure,
     alpha_omega,
+    creation_sequence_to_graph,
     enumerate_mis,
     recognize_threshold,
 )
@@ -181,9 +184,20 @@ class Solution:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Verdict and witness of an equivalence check.  `conflict` holds the
+    conflict graph in the form at hand: the creation sequence of a one-row
+    instance, turned into a Graph on first access to `conflict_graph`, or
+    the Graph itself (no items, or several rows)."""
+
     equivalent: bool
-    conflict_graph: Graph
+    conflict: CreationSequence | Graph
     witness: tuple | None
+
+    @cached_property
+    def conflict_graph(self):
+        if isinstance(self.conflict, CreationSequence):
+            return creation_sequence_to_graph(self.conflict)
+        return self.conflict
 
 
 # ---------------------------------------------------------------------------
@@ -293,65 +307,268 @@ def format_report(rep):
 
 
 # ---------------------------------------------------------------------------
-# conflict graphs and equivalence
+# the one-row core: conflict graphs and equivalence
+
+
+_NO_ITEMS = Graph(0, frozenset())
+
+
+def _integers(values):
+    """Exact integers proportional to the rationals `values`, and the lcm of
+    their denominators that they were multiplied by."""
+    scale = lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+class _Row(NamedTuple):
+    """One knapsack row on integers: sizes and capacity multiplied by
+    `scale`, plus the conflict graph's creation sequence (None without
+    items)."""
+
+    sizes: list
+    capacity: int
+    scale: int
+    sequence: CreationSequence | None
+
+
+def _row(sizes, capacity):
+    """The core of every one-row path, O(n log n).  Items sorted by
+    (size, index) are peeled with two pointers: the smallest remaining item
+    fits beside every other one when it fits beside the largest, so it is
+    isolated (bit 0); otherwise the largest conflicts with every other one,
+    so it is dominating (bit 1); the last item takes bit 1.  The peel read
+    backwards is a creation sequence of the conflict graph, found without
+    listing an edge."""
+    ints, scale = _integers([*sizes, capacity])
+    cap = ints.pop()
+    n = len(ints)
+    if not n:
+        return _Row(ints, cap, scale, None)
+    order = sorted(range(n), key=ints.__getitem__)
+    lo, hi = 0, n - 1
+    bits, peeled = [], []
+    while lo < hi:
+        if ints[order[lo]] + ints[order[hi]] <= cap:
+            bits.append("0")
+            peeled.append(order[lo] + 1)
+            lo += 1
+        else:
+            bits.append("1")
+            peeled.append(order[hi] + 1)
+            hi -= 1
+    bits.append("1")
+    peeled.append(order[lo] + 1)
+    cs = CreationSequence("".join(reversed(bits)), tuple(reversed(peeled)))
+    return _Row(ints, cap, scale, cs)
+
+
+def _mis_walk(cs, weights):
+    """Every maximal independent set of the sequence's graph is v(i) for a
+    1-bit position i plus the 0-bit vertices after i.  Scanning right to
+    left, yield per set (i, number of those 0-bit vertices, 0-based item of
+    v(i), total weight) from one running suffix sum."""
+    zeros = tail = 0
+    for i in range(cs.n - 1, -1, -1):
+        j = cs.vmap[i] - 1
+        if cs.bits[i] == "0":
+            zeros += 1
+            tail += weights[j]
+        else:
+            yield i, zeros, j, weights[j] + tail
+
+
+def _mis_members(cs, i):
+    """0-based items of the maximal independent set at 1-bit position i."""
+    zeros = [cs.vmap[k] - 1 for k in range(i + 1, cs.n) if cs.bits[k] == "0"]
+    return tuple(sorted([cs.vmap[i] - 1, *zeros]))
+
+
+def _shrink_witness(members, weight, rows):
+    """Greedily drop items, lightest (weight, index) first, while the rest
+    still overfills some row; rows are (integer sizes, capacity) pairs whose
+    totals are kept running."""
+    totals = [sum(sizes[j] for j in members) for sizes, _ in rows]
+    kept = set(members)
+    for j in sorted(members, key=lambda j: (weight[j], j)):
+        trial = [t - sizes[j] for t, (sizes, _) in zip(totals, rows)]
+        if len(kept) > 1 and any(t > cap for t, (_, cap) in zip(trial, rows)):
+            totals = trial
+            kept.discard(j)
+    return tuple(sorted(kept))
+
+
+def _check_row(ids, row):
+    """Equivalence report of one row.  The witness comes from the first
+    overfull maximal independent set in canonical order (fewest items, then
+    smallest indices): sets of one size share their 0-bit vertices, so among
+    them the one with the smallest v(i) comes first."""
+    conflict = row.sequence or _NO_ITEMS
+    first = None
+    if row.sequence is not None:
+        for i, zeros, j, total in _mis_walk(row.sequence, row.sizes):
+            if first is not None and zeros > first[0]:
+                break
+            if total > row.capacity and (first is None or j < first[1]):
+                first = (zeros, j, i)
+    if first is None:
+        return EquivalenceReport(True, conflict, None)
+    members = _mis_members(row.sequence, first[2])
+    small = _shrink_witness(members, row.sizes, [(row.sizes, row.capacity)])
+    return EquivalenceReport(False, conflict, tuple(ids[j] for j in small))
 
 
 def conflict_graph_kp(inst):
     """Items as vertices; an edge whenever two items overfill the knapsack
-    together (strict comparison)."""
-    n = inst.n
-    edges = []
-    for j in range(n):
-        for jp in range(j + 1, n):
-            if inst.items[j].size + inst.items[jp].size > inst.capacity:
-                edges.append((j + 1, jp + 1))
-    return Graph(n, frozenset(edges))
-
-
-def _recognized(g):
-    got = recognize_threshold(g)
-    if isinstance(got, RecognitionFailure):
-        # conflict graphs of one knapsack constraint are threshold graphs
-        raise AssertionError("conflict graph failed threshold recognition")
-    return got
-
-
-def _kp_mis_families(inst):
-    """(conflict graph, maximal independent sets as 0-based index tuples)."""
-    g = conflict_graph_kp(inst)
-    if inst.n == 0:
-        return g, []
-    fam = enumerate_mis(_recognized(g))
-    return g, [tuple(v - 1 for v in s) for s in fam]
-
-
-def _shrink_witness(members, sizes, violates):
-    """Greedily drop small items while the remainder still violates."""
-    members = sorted(members, key=lambda j: (sizes[j], j))
-    kept = list(members)
-    for j in list(members):
-        trial = [x for x in kept if x != j]
-        if trial and violates(trial):
-            kept = trial
-    return tuple(sorted(kept))
+    together (strict comparison).  Built from the core's creation
+    sequence."""
+    cs = _row([it.size for it in inst.items], inst.capacity).sequence
+    return creation_sequence_to_graph(cs) if cs else _NO_ITEMS
 
 
 def check_equivalence_kp(inst):
     """Feasibility of every maximal independent set of the conflict graph is
     enough: feasibility is downward closed and every independent set extends
     to a maximal one.  On failure the witness is a pairwise-compatible but
-    oversized item set, shrunk to a minimal one."""
-    g, fam = _kp_mis_families(inst)
-    sizes = [it.size for it in inst.items]
-    c = inst.capacity
+    oversized item set, shrunk to a minimal one.  O(n log n)."""
+    row = _row([it.size for it in inst.items], inst.capacity)
+    return _check_row([it.id for it in inst.items], row)
+
+
+def solve_kp_equivalent(inst):
+    """Optimum over the maximal independent sets of the conflict graph plus
+    the empty set; exact rational profit.  Ties go to fewer items, then
+    smaller indices; among sets of one size that is the smallest v(i), as in
+    the check.  O(n log n) plus the chosen set."""
+    ids = [it.id for it in inst.items]
+    row = _row([it.size for it in inst.items], inst.capacity)
+    rep = _check_row(ids, row)
+    if not rep.equivalent:
+        raise NotEquivalentError(rep)
+    profits, scale = _integers([it.profit for it in inst.items])
+    best = None  # (-profit, 0-bit count, item of v(i), position i)
+    if row.sequence is not None:
+        for i, zeros, j, profit in _mis_walk(row.sequence, profits):
+            key = (-profit, zeros, j, i)
+            if profit > 0 and (best is None or key < best):
+                best = key
+    chosen = _mis_members(row.sequence, best[3]) if best else ()
+    profit = -best[0] if best else 0
+    total = sum(row.sizes[j] for j in chosen)
+    return Solution(
+        tuple(ids[j] for j in chosen),
+        Fraction(profit, scale),
+        (Fraction(total, row.scale),),
+    )
+
+
+# ---------------------------------------------------------------------------
+# d-dimensional instances: the one-row core once per dimension
+
+
+def per_dimension_instances(inst):
+    out = []
+    for i in range(inst.d):
+        items = tuple(
+            KpItem(it.id, it.profit, it.sizes[i]) for it in inst.items
+        )
+        out.append(KpInstance(items, inst.capacities[i]))
+    return out
+
+
+def _dimension_rows(inst):
+    return [
+        _row([it.sizes[i] for it in inst.items], inst.capacities[i])
+        for i in range(inst.d)
+    ]
+
+
+def _sequence_masks(cs):
+    """Neighbor bitmask per vertex (bit v-1 for vertex v) of the sequence's
+    graph: a vertex sees every later 1-bit vertex and, when its own bit is
+    1, every earlier vertex."""
+    masks = [0] * cs.n
+    later_ones = 0
+    for i in range(cs.n - 1, -1, -1):
+        v = cs.vmap[i] - 1
+        masks[v] = later_ones
+        if cs.bits[i] == "1":
+            later_ones |= 1 << v
+    earlier = 0
+    for i in range(cs.n):
+        v = cs.vmap[i] - 1
+        if cs.bits[i] == "1":
+            masks[v] |= earlier
+        earlier |= 1 << v
+    return masks
+
+
+def _union_graph(rows, n):
+    """Union of the rows' conflict graphs, by OR of their adjacency masks."""
+    union = [0] * n
+    for row in rows:
+        if row.sequence is not None:
+            for v, m in enumerate(_sequence_masks(row.sequence)):
+                union[v] |= m
+    edges = []
+    for u, m in enumerate(union, start=1):
+        m >>= u  # bit k now stands for vertex u + 1 + k
+        while m:
+            low = m & -m
+            edges.append((u, u + low.bit_length()))
+            m ^= low
+    return Graph(n, frozenset(edges))
+
+
+def conflict_graph_dkp(inst):
+    """Union over dimensions of the per-dimension conflict graphs."""
+    return _union_graph(_dimension_rows(inst), inst.n)
+
+
+def _cover(rows):
+    return ThresholdCover(tuple(row.sequence for row in rows))
+
+
+def conflict_cover_dkp(inst):
+    """The same union, kept as a cover whose members are the per-dimension
+    conflict graphs' creation sequences."""
+    if inst.n == 0:
+        raise ValueError("the empty graph has no creation sequence")
+    return _cover(_dimension_rows(inst))
+
+
+def _dkp_mis_families(inst, rows):
+    """(union conflict graph, its maximal independent sets as 0-based index
+    tuples in canonical order)."""
+    g = _union_graph(rows, inst.n)
+    if inst.n == 0:
+        return g, []
+    # the union graph is often threshold itself; its single sequence is
+    # cheaper than the tuple product
+    got = recognize_threshold(g)
+    if isinstance(got, CreationSequence):
+        fam = enumerate_mis(got)
+    else:
+        fam = enumerate_mis_k(_cover(rows))
+    return g, [tuple(v - 1 for v in s) for s in fam]
+
+
+def _check_dkp(inst, rows):
+    """(report, family): the first maximal independent set of the union, in
+    canonical order, that overfills some dimension is shrunk to the
+    witness."""
+    g, fam = _dkp_mis_families(inst, rows)
+    limits = [(row.sizes, row.capacity) for row in rows]
     for s in fam:
-        if sum(sizes[j] for j in s) > c:
-            small = _shrink_witness(
-                s, sizes, lambda t: sum(sizes[j] for j in t) > c
-            )
+        if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits):
+            weight = {j: sum(inst.items[j].sizes) for j in s}
+            small = _shrink_witness(s, weight, limits)
             ids = tuple(inst.items[j].id for j in small)
-            return EquivalenceReport(False, g, ids)
-    return EquivalenceReport(True, g, None)
+            return EquivalenceReport(False, g, ids), fam
+    return EquivalenceReport(True, g, None), fam
+
+
+def check_equivalence_dkp(inst):
+    return _check_dkp(inst, _dimension_rows(inst))[0]
 
 
 def _best_candidate(candidates, profits):
@@ -367,100 +584,15 @@ def _best_candidate(candidates, profits):
     return best, best_profit
 
 
-def solve_kp_equivalent(inst):
-    """Optimum over the maximal independent sets of the conflict graph plus
-    the empty set; exact rational profit."""
-    rep = check_equivalence_kp(inst)
-    if not rep.equivalent:
-        raise NotEquivalentError(rep)
-    _, fam = _kp_mis_families(inst)
-    profits = [it.profit for it in inst.items]
-    chosen, profit = _best_candidate(fam + [()], profits)
-    total = sum((inst.items[j].size for j in chosen), Fraction(0))
-    return Solution(tuple(inst.items[j].id for j in chosen), profit, (total,))
-
-
-# ---------------------------------------------------------------------------
-# d-dimensional instances
-
-
-def per_dimension_instances(inst):
-    out = []
-    for i in range(inst.d):
-        items = tuple(
-            KpItem(it.id, it.profit, it.sizes[i]) for it in inst.items
-        )
-        out.append(KpInstance(items, inst.capacities[i]))
-    return out
-
-
-def conflict_graph_dkp(inst):
-    """Union over dimensions of the per-dimension conflict graphs."""
-    n = inst.n
-    edges = []
-    for j in range(n):
-        for jp in range(j + 1, n):
-            a, b = inst.items[j], inst.items[jp]
-            if any(
-                a.sizes[i] + b.sizes[i] > inst.capacities[i]
-                for i in range(inst.d)
-            ):
-                edges.append((j + 1, jp + 1))
-    return Graph(n, frozenset(edges))
-
-
-def conflict_cover_dkp(inst):
-    """The same union, kept as a cover whose members are the per-dimension
-    conflict graphs' creation sequences."""
-    members = tuple(
-        _recognized(conflict_graph_kp(sub)) for sub in per_dimension_instances(inst)
-    )
-    return ThresholdCover(members)
-
-
-def _dkp_mis_families(inst):
-    g = conflict_graph_dkp(inst)
-    if inst.n == 0:
-        return g, []
-    # the union graph is often threshold itself; its single sequence is
-    # cheaper than the tuple product
-    got = recognize_threshold(g)
-    if isinstance(got, CreationSequence):
-        fam = enumerate_mis(got)
-    else:
-        fam = enumerate_mis_k(conflict_cover_dkp(inst))
-    return g, [tuple(v - 1 for v in s) for s in fam]
-
-
-def check_equivalence_dkp(inst):
-    g, fam = _dkp_mis_families(inst)
-    caps = inst.capacities
-
-    def violates(idxs):
-        return any(
-            sum(inst.items[j].sizes[i] for j in idxs) > caps[i]
-            for i in range(inst.d)
-        )
-
-    weight = [sum(it.sizes) for it in inst.items]
-    for s in fam:
-        if violates(s):
-            small = _shrink_witness(s, weight, violates)
-            ids = tuple(inst.items[j].id for j in small)
-            return EquivalenceReport(False, g, ids)
-    return EquivalenceReport(True, g, None)
-
-
 def solve_dkp_equivalent(inst):
-    rep = check_equivalence_dkp(inst)
+    rows = _dimension_rows(inst)
+    rep, fam = _check_dkp(inst, rows)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
-    _, fam = _dkp_mis_families(inst)
     profits = [it.profit for it in inst.items]
     chosen, profit = _best_candidate(fam + [()], profits)
     totals = tuple(
-        sum((inst.items[j].sizes[i] for j in chosen), Fraction(0))
-        for i in range(inst.d)
+        Fraction(sum(row.sizes[j] for j in chosen), row.scale) for row in rows
     )
     return Solution(tuple(inst.items[j].id for j in chosen), profit, totals)
 
@@ -472,19 +604,13 @@ def solve_dkp_equivalent(inst):
 def bp_lower_bound(inst):
     """Clique number of the conflict graph of the unit-capacity view; a valid
     bin lower bound because conflicting items need distinct bins.  Refuses
-    instances whose conflict graph does not capture feasibility."""
-    kp = KpInstance(
-        tuple(
-            KpItem(f"a{j + 1}", Fraction(1), s) for j, s in enumerate(inst.sizes)
-        ),
-        Fraction(1),
-    )
-    rep = check_equivalence_kp(kp)
+    instances whose conflict graph does not capture feasibility.  The number
+    is the count of 1-bits in the conflict graph's creation sequence."""
+    row = _row(inst.sizes, Fraction(1))
+    rep = _check_row([f"a{j + 1}" for j in range(len(inst.sizes))], row)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
-    if not inst.sizes:
-        return 0
-    return _recognized(rep.conflict_graph).bits.count("1")
+    return row.sequence.bits.count("1") if row.sequence else 0
 
 
 def _require_unit_view(inst):
@@ -496,10 +622,15 @@ def _require_unit_view(inst):
 
 
 def _check_dimensions_equivalent(inst):
-    for i, sub in enumerate(per_dimension_instances(inst), start=1):
-        rep = check_equivalence_kp(sub)
+    """The instance's rows, each checked on its own; a failure names its
+    1-based dimension."""
+    rows = _dimension_rows(inst)
+    ids = [it.id for it in inst.items]
+    for i, row in enumerate(rows, start=1):
+        rep = _check_row(ids, row)
         if not rep.equivalent:
             raise NotEquivalentError(rep, dimension=i)
+    return rows
 
 
 def dvp_lower_bound(inst):
@@ -509,8 +640,7 @@ def dvp_lower_bound(inst):
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
-    _check_dimensions_equivalent(inst)
-    g = conflict_graph_dkp(inst)
+    g = _union_graph(_check_dimensions_equivalent(inst), inst.n)
     got = recognize_threshold(g)
     if isinstance(got, CreationSequence):
         return alpha_omega(got)[1]
@@ -524,5 +654,4 @@ def dbp_lower_bound(inst):
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
-    _check_dimensions_equivalent(inst)
-    return omega_intersection(conflict_cover_dkp(inst))
+    return omega_intersection(_cover(_check_dimensions_equivalent(inst)))

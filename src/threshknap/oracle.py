@@ -3,7 +3,9 @@
 Everything here is written for obviousness over speed: subset tables indexed
 by bitmask, permutation scans, submask partition dynamic programs.  Each entry
 point guards its input size with CapacityError instead of silently taking
-forever.  Nothing in the library proper depends on this module.
+forever.  The reference paths at the end are the library's earlier
+polynomial algorithms, replaced by faster ones and kept here unchanged.
+Nothing in the library proper depends on this module.
 """
 from __future__ import annotations
 
@@ -13,10 +15,26 @@ from math import lcm
 
 from .graphs import (
     CapacityError,
+    Graph,
     adjacency_masks,
     canonical_family,
     complement,
     set_of_mask,
+)
+from .knapsack import (
+    EquivalenceReport,
+    KpInstance,
+    KpItem,
+    NotEquivalentError,
+    Solution,
+    per_dimension_instances,
+)
+from .kthreshold import ThresholdCover, enumerate_mis_k
+from .threshold import (
+    CreationSequence,
+    RecognitionFailure,
+    enumerate_mis,
+    recognize_threshold,
 )
 
 
@@ -148,8 +166,7 @@ def brute_is_isomorphic(g1, g2):
 
 # ---------------------------------------------------------------------------
 # knapsack-side oracles.  Instances are consumed structurally (items with
-# .id/.profit and .size or .sizes, capacity or capacities) so this module
-# never imports the library's types.
+# .id/.profit and .size or .sizes, capacity or capacities).
 
 
 def _int_sizes(sizes, capacity):
@@ -409,3 +426,183 @@ def brute_dbp_opt(size_vectors):
         for m in range(1, 1 << n)
     }
     return _min_bins(n, lambda m: groups[m])
+
+
+# ---------------------------------------------------------------------------
+# reference paths: the library's earlier algorithms, kept unchanged so the
+# tests can hold the fast paths that replaced them to identical results.
+# They return the library's report and solution types.
+
+
+def reference_conflict_graph_kp(inst):
+    """Items as vertices; an edge whenever two items overfill the knapsack
+    together (strict comparison).  O(n^2) Fraction additions."""
+    n = inst.n
+    edges = []
+    for j in range(n):
+        for jp in range(j + 1, n):
+            if inst.items[j].size + inst.items[jp].size > inst.capacity:
+                edges.append((j + 1, jp + 1))
+    return Graph(n, frozenset(edges))
+
+
+def _recognized(g):
+    got = recognize_threshold(g)
+    if isinstance(got, RecognitionFailure):
+        # conflict graphs of one knapsack constraint are threshold graphs
+        raise AssertionError("conflict graph failed threshold recognition")
+    return got
+
+
+def _kp_mis_families(inst):
+    """(conflict graph, maximal independent sets as 0-based index tuples)."""
+    g = reference_conflict_graph_kp(inst)
+    if inst.n == 0:
+        return g, []
+    fam = enumerate_mis(_recognized(g))
+    return g, [tuple(v - 1 for v in s) for s in fam]
+
+
+def _shrink_witness(members, sizes, violates):
+    """Greedily drop small items while the remainder still violates."""
+    members = sorted(members, key=lambda j: (sizes[j], j))
+    kept = list(members)
+    for j in list(members):
+        trial = [x for x in kept if x != j]
+        if trial and violates(trial):
+            kept = trial
+    return tuple(sorted(kept))
+
+
+def reference_check_equivalence_kp(inst):
+    """Every maximal independent set of the recognized conflict graph, in
+    canonical order, summed from scratch; the first overfull one is shrunk
+    to the witness."""
+    g, fam = _kp_mis_families(inst)
+    sizes = [it.size for it in inst.items]
+    c = inst.capacity
+    for s in fam:
+        if sum(sizes[j] for j in s) > c:
+            small = _shrink_witness(
+                s, sizes, lambda t: sum(sizes[j] for j in t) > c
+            )
+            ids = tuple(inst.items[j].id for j in small)
+            return EquivalenceReport(False, g, ids)
+    return EquivalenceReport(True, g, None)
+
+
+def _best_candidate(candidates, profits):
+    """Max total profit; ties go to fewer items, then lexicographic indices."""
+    best = ()
+    best_profit = Fraction(0)
+    best_key = (0, ())
+    for cand in candidates:
+        p = sum((profits[j] for j in cand), Fraction(0))
+        key = (len(cand), cand)
+        if p > best_profit or (p == best_profit and key < best_key):
+            best, best_profit, best_key = cand, p, key
+    return best, best_profit
+
+
+def reference_solve_kp_equivalent(inst):
+    rep = reference_check_equivalence_kp(inst)
+    if not rep.equivalent:
+        raise NotEquivalentError(rep)
+    _, fam = _kp_mis_families(inst)
+    profits = [it.profit for it in inst.items]
+    chosen, profit = _best_candidate(fam + [()], profits)
+    total = sum((inst.items[j].size for j in chosen), Fraction(0))
+    return Solution(tuple(inst.items[j].id for j in chosen), profit, (total,))
+
+
+def reference_conflict_graph_dkp(inst):
+    """Union over dimensions of the per-dimension conflict graphs, by
+    O(n^2 d) Fraction additions."""
+    n = inst.n
+    edges = []
+    for j in range(n):
+        for jp in range(j + 1, n):
+            a, b = inst.items[j], inst.items[jp]
+            if any(
+                a.sizes[i] + b.sizes[i] > inst.capacities[i]
+                for i in range(inst.d)
+            ):
+                edges.append((j + 1, jp + 1))
+    return Graph(n, frozenset(edges))
+
+
+def reference_conflict_cover_dkp(inst):
+    members = tuple(
+        _recognized(reference_conflict_graph_kp(sub))
+        for sub in per_dimension_instances(inst)
+    )
+    return ThresholdCover(members)
+
+
+def _dkp_mis_families(inst):
+    g = reference_conflict_graph_dkp(inst)
+    if inst.n == 0:
+        return g, []
+    got = recognize_threshold(g)
+    if isinstance(got, CreationSequence):
+        fam = enumerate_mis(got)
+    else:
+        fam = enumerate_mis_k(reference_conflict_cover_dkp(inst))
+    return g, [tuple(v - 1 for v in s) for s in fam]
+
+
+def reference_check_equivalence_dkp(inst):
+    g, fam = _dkp_mis_families(inst)
+    caps = inst.capacities
+
+    def violates(idxs):
+        return any(
+            sum(inst.items[j].sizes[i] for j in idxs) > caps[i]
+            for i in range(inst.d)
+        )
+
+    weight = [sum(it.sizes) for it in inst.items]
+    for s in fam:
+        if violates(s):
+            small = _shrink_witness(s, weight, violates)
+            ids = tuple(inst.items[j].id for j in small)
+            return EquivalenceReport(False, g, ids)
+    return EquivalenceReport(True, g, None)
+
+
+def reference_solve_dkp_equivalent(inst):
+    rep = reference_check_equivalence_dkp(inst)
+    if not rep.equivalent:
+        raise NotEquivalentError(rep)
+    _, fam = _dkp_mis_families(inst)
+    profits = [it.profit for it in inst.items]
+    chosen, profit = _best_candidate(fam + [()], profits)
+    totals = tuple(
+        sum((inst.items[j].sizes[i] for j in chosen), Fraction(0))
+        for i in range(inst.d)
+    )
+    return Solution(tuple(inst.items[j].id for j in chosen), profit, totals)
+
+
+def reference_threshold_to_kp(cs, profits=None):
+    """Equivalent knapsack instance, doubling the whole size list at every
+    0-bit (quadratic list work)."""
+    sizes = [1]
+    c = 1
+    for i in range(2, cs.n + 1):
+        if cs.bits[i - 1] == "0":
+            sizes = [2 * s for s in sizes]
+            c = 2 * c + 1
+            sizes.append(1)
+        else:
+            sizes.append(c)
+    if profits is None:
+        profits = [1] * cs.n
+    if len(profits) != cs.n:
+        raise ValueError("profit vector length must match the sequence length")
+    size_of = {cs.vertex(i): sizes[i - 1] for i in range(1, cs.n + 1)}
+    items = tuple(
+        KpItem(f"a{v}", Fraction(profits[v - 1]), Fraction(size_of[v]))
+        for v in range(1, cs.n + 1)
+    )
+    return KpInstance(items, Fraction(c))

@@ -73,12 +73,11 @@ class SplitPartition:
 
 def creation_sequence_to_graph(cs):
     edges = []
-    for j in range(2, cs.n + 1):
-        if cs.bits[j - 1] == "1":
-            vj = cs.vertex(j)
-            for i in range(1, j):
-                vi = cs.vertex(i)
-                edges.append((vi, vj) if vi < vj else (vj, vi))
+    vmap = cs.vmap
+    for j in range(1, cs.n):
+        if cs.bits[j] == "1":
+            vj = vmap[j]
+            edges.extend((vi, vj) if vi < vj else (vj, vi) for vi in vmap[:j])
     return Graph(cs.n, frozenset(edges))
 
 
@@ -127,7 +126,7 @@ def recognize_threshold(g, want_witness=False):
             while m:
                 low = m & -m
                 v = low.bit_length()
-                deg = bin(adj[v - 1] & remaining).count("1")
+                deg = (adj[v - 1] & remaining).bit_count()
                 if deg == 0:
                     pick = v
                     bit = "0"
@@ -255,20 +254,25 @@ def threshold_to_kp(cs, profits=None):
     """Equivalent knapsack instance: item i per position i; a 0-bit doubles
     all earlier sizes and the capacity (c -> 2c+1) then takes size 1, a 1-bit
     takes the current capacity.  Sizes are exact integers and grow as big
-    integers.  Unit profits unless a vector is given."""
+    integers.  Unit profits unless a vector is given.
+
+    In closed form, with z_b and z_a the 0-bits before and after position i
+    and z their total, a 1-bit takes (2^(z_b+1) - 1) << z_a, a 0-bit takes
+    1 << z_a, and the capacity is 2^(z+1) - 1: one right-to-left pass."""
     from fractions import Fraction
 
     from .knapsack import KpInstance, KpItem
 
-    sizes = [1]
-    c = 1
-    for i in range(2, cs.n + 1):
-        if cs.bits[i - 1] == "0":
-            sizes = [2 * s for s in sizes]
-            c = 2 * c + 1
-            sizes.append(1)
+    total = cs.bits.count("0")
+    c = (1 << (total + 1)) - 1
+    sizes = [0] * cs.n
+    after = 0
+    for i in range(cs.n - 1, -1, -1):
+        if cs.bits[i] == "0":
+            sizes[i] = 1 << after
+            after += 1
         else:
-            sizes.append(c)
+            sizes[i] = ((1 << (total - after + 1)) - 1) << after
     if profits is None:
         profits = [1] * cs.n
     if len(profits) != cs.n:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import threshknap
 from threshknap import cli
 
 PAW_GRAPH = "p 4 4\ne 1 2\ne 1 4\ne 2 4\ne 3 4\n"
@@ -110,18 +114,6 @@ def test_enumerate_cover_file(write, capsys):
     assert out.strip() == "9"
     rc, out, _ = run(capsys, ["enumerate", "mc", path])
     assert out.splitlines() == ["1", "2", "3", "4", "5"]
-
-
-def test_enumerate_accepts_jobs_flag(write, capsys):
-    rc, out, _ = run(capsys, ["enumerate", "mis", "--jobs", "2", write("c", HOUSE_COVER)])
-    assert rc == 0
-    assert out.splitlines() == ["1 3", "1 4", "2 5", "3 5"]
-
-
-def test_enumerate_rejects_bad_jobs(write, capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["enumerate", "mis", "--jobs", "0", write("c", HOUSE_COVER)])
-    capsys.readouterr()
 
 
 def test_convert_graph_to_kp(write, capsys):
@@ -238,6 +230,24 @@ def test_bound_bp_rejects_multidimensional(write, capsys):
     rc, _, err = run(capsys, ["bound", "bp", write("i.json", json.dumps(inst))])
     assert rc == 2
     assert "one-dimensional" in err
+
+
+def test_bound_dvp_on_a_clique_deeper_than_the_recursion_limit(write):
+    # 1,200 items conflict pairwise in both dimensions; with two more on
+    # each side the union is not threshold, so Bron-Kerbosch runs on a
+    # 1,202-vertex clique.  Run as its own process: the union graph is large.
+    items = [{"id": f"a{i}", "profit": "1", "sizes": ["3/5", "3/5"]} for i in range(1, 1201)]
+    items += [{"id": f"b{i}", "profit": "1", "sizes": ["3/5", "1/10"]} for i in (1, 2)]
+    items += [{"id": f"c{i}", "profit": "1", "sizes": ["1/10", "3/5"]} for i in (1, 2)]
+    path = write("i.json", json.dumps({"capacities": ["1", "1"], "items": items}))
+    src = os.path.dirname(os.path.dirname(threshknap.__file__))
+    got = subprocess.run(
+        [sys.executable, "-m", "threshknap.cli", "bound", "dvp", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (got.returncode, got.stdout, got.stderr) == (0, "1202\n", "")
 
 
 def test_bound_dvp_and_dbp(write, capsys):
