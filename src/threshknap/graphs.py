@@ -76,7 +76,7 @@ class Graph:
         return (u, v) in self.edges
 
     def degree(self, v):
-        return bin(adjacency_masks(self)[v - 1]).count("1")
+        return adjacency_masks(self)[v - 1].bit_count()
 
     def neighbors(self, v):
         return set_of_mask(adjacency_masks(self)[v - 1])

@@ -176,7 +176,7 @@ def _intersections(families):
 
 
 def _drop_subsets(masks):
-    order = sorted(masks, key=lambda m: -bin(m).count("1"))
+    order = sorted(masks, key=lambda m: -m.bit_count())
     kept = []
     for m in order:
         if not any(m & ~big == 0 for big in kept):
@@ -196,9 +196,9 @@ def enumerate_im_k(cover):
     inters = _intersections(_member_mis_masks(cover))
     if not inters:
         return []
-    best = max(bin(m).count("1") for m in inters)
+    best = max(m.bit_count() for m in inters)
     return canonical_family(
-        set_of_mask(m) for m in inters if bin(m).count("1") == best
+        set_of_mask(m) for m in inters if m.bit_count() == best
     )
 
 
@@ -206,7 +206,7 @@ def alpha_k(cover):
     inters = _intersections(_member_mis_masks(cover))
     if not inters:
         return 0
-    return max(bin(m).count("1") for m in inters)
+    return max(m.bit_count() for m in inters)
 
 
 def enumerate_is_k(cover):
@@ -234,10 +234,6 @@ def enumerate_is_k(cover):
         if good:
             out.append(m)
     return canonical_family(set_of_mask(m) for m in out)
-
-
-def count_is_k(cover):
-    return len(enumerate_is_k(cover))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +288,12 @@ def two_threshold_partition(cover):
     for grp in (part.K, part.A, part.B):
         gm = mask_of(grp)
         for v in grp:
-            assert (adj[v - 1] & gm) == gm & ~(1 << (v - 1))
+            if (adj[v - 1] & gm) != gm & ~(1 << (v - 1)):
+                raise ContractError(f"class of vertex {v} is not a clique of the union")
     sm = mask_of(part.S)
     for v in part.S:
-        assert not (adj[v - 1] & sm)
+        if adj[v - 1] & sm:
+            raise ContractError(f"S is not independent in the union: vertex {v}")
     return part
 
 

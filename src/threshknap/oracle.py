@@ -10,7 +10,7 @@ Nothing in the library proper depends on this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 
 from .graphs import (
@@ -34,7 +34,6 @@ from .threshold import (
     CreationSequence,
     RecognitionFailure,
     enumerate_mis,
-    recognize_threshold,
 )
 
 
@@ -434,6 +433,95 @@ def brute_dbp_opt(size_vectors):
 # They return the library's report and solution types.
 
 
+def reference_forbidden_witness(g):
+    """Search 4-subsets for an induced 2K2, P4, or C4.  O(n^4)."""
+    adj = adjacency_masks(g)
+    for quad in combinations(range(1, g.n + 1), 4):
+        qm = 0
+        for v in quad:
+            qm |= 1 << (v - 1)
+        degs = sorted(bin(adj[v - 1] & qm).count("1") for v in quad)
+        ecount = sum(degs) // 2
+        if ecount == 2 and degs == [1, 1, 1, 1]:
+            return quad, "2K2"
+        if ecount == 3 and degs == [1, 1, 2, 2]:
+            return quad, "P4"
+        if ecount == 4 and degs == [2, 2, 2, 2]:
+            return quad, "C4"
+    return None, None
+
+
+def reference_recognize_threshold(g, want_witness=False):
+    """Reverse peeling that recounts every remaining degree at each step
+    (O(n^2) mask operations); the first 4-subset scan gives the witness."""
+    if g.n == 0:
+        raise ValueError("the empty graph has no creation sequence")
+    adj = list(adjacency_masks(g))
+    remaining = (1 << g.n) - 1
+    order = []
+    rec_bits = []
+    for step in range(g.n):
+        size = g.n - step
+        pick = None
+        bit = None
+        if size == 1:
+            pick = remaining.bit_length()  # the single remaining vertex
+            bit = "1"
+        else:
+            m = remaining
+            # smallest-index isolated vertex, else smallest-index dominating
+            dominating = None
+            while m:
+                low = m & -m
+                v = low.bit_length()
+                deg = (adj[v - 1] & remaining).bit_count()
+                if deg == 0:
+                    pick = v
+                    bit = "0"
+                    break
+                if deg == size - 1 and dominating is None:
+                    dominating = v
+                m ^= low
+            if pick is None and dominating is not None:
+                pick = dominating
+                bit = "1"
+        if pick is None:
+            if want_witness:
+                quad, tag = reference_forbidden_witness(g)
+                return RecognitionFailure(quad, tag)
+            return RecognitionFailure()
+        order.append(pick)
+        rec_bits.append(bit)
+        remaining &= ~(1 << (pick - 1))
+    bits = "".join(reversed(rec_bits))
+    vmap = tuple(reversed(order))
+    return CreationSequence(bits, vmap)
+
+
+def reference_split_witness(g):
+    """Induced 2K2 or C4 on a 4-subset, else C5 on a 5-subset.  O(n^5)."""
+    adj = adjacency_masks(g)
+    for quad in combinations(range(1, g.n + 1), 4):
+        qm = 0
+        for v in quad:
+            qm |= 1 << (v - 1)
+        degs = sorted(bin(adj[v - 1] & qm).count("1") for v in quad)
+        ecount = sum(degs) // 2
+        if ecount == 2 and degs == [1, 1, 1, 1]:
+            return quad, "2K2"
+        if ecount == 4 and degs == [2, 2, 2, 2]:
+            return quad, "C4"
+    for five in combinations(range(1, g.n + 1), 5):
+        fm = 0
+        for v in five:
+            fm |= 1 << (v - 1)
+        degs = [bin(adj[v - 1] & fm).count("1") for v in five]
+        # five vertices, five edges, all degree 2: the only option is C5
+        if sum(degs) == 10 and all(d == 2 for d in degs):
+            return five, "C5"
+    return None, None
+
+
 def reference_conflict_graph_kp(inst):
     """Items as vertices; an edge whenever two items overfill the knapsack
     together (strict comparison).  O(n^2) Fraction additions."""
@@ -447,7 +535,7 @@ def reference_conflict_graph_kp(inst):
 
 
 def _recognized(g):
-    got = recognize_threshold(g)
+    got = reference_recognize_threshold(g)
     if isinstance(got, RecognitionFailure):
         # conflict graphs of one knapsack constraint are threshold graphs
         raise AssertionError("conflict graph failed threshold recognition")
@@ -543,7 +631,7 @@ def _dkp_mis_families(inst):
     g = reference_conflict_graph_dkp(inst)
     if inst.n == 0:
         return g, []
-    got = recognize_threshold(g)
+    got = reference_recognize_threshold(g)
     if isinstance(got, CreationSequence):
         fam = enumerate_mis(got)
     else:

@@ -10,13 +10,13 @@ a 0-bit vertex arrives isolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import (
     CapacityError,
     Graph,
     adjacency_masks,
     canonical_family,
+    mask_of,
     set_of_mask,
 )
 
@@ -81,70 +81,68 @@ def creation_sequence_to_graph(cs):
     return Graph(cs.n, frozenset(edges))
 
 
-def _forbidden_witness(g):
-    """Search 4-subsets for an induced 2K2, P4, or C4.  O(n^4), opt-in."""
-    adj = adjacency_masks(g)
-    for quad in combinations(range(1, g.n + 1), 4):
-        qm = 0
-        for v in quad:
-            qm |= 1 << (v - 1)
-        degs = sorted(bin(adj[v - 1] & qm).count("1") for v in quad)
-        ecount = sum(degs) // 2
-        if ecount == 2 and degs == [1, 1, 1, 1]:
-            return quad, "2K2"
-        if ecount == 3 and degs == [1, 1, 2, 2]:
-            return quad, "P4"
-        if ecount == 4 and degs == [2, 2, 2, 2]:
-            return quad, "C4"
-    return None, None
+def _forbidden_witness(adj, remaining):
+    """Induced 2K2, P4 or C4 inside `remaining`, a vertex mask whose induced
+    subgraph has no isolated and no dominating vertex (where peeling stuck).
+
+    Take u of maximum degree there, w not adjacent to u, x a neighbor of w,
+    and y a neighbor of u that is neither x nor adjacent to x.  y exists:
+    otherwise N(u) - {x} would lie in N(x), which also holds w (and u when
+    ux is an edge), so deg x > deg u.  With edges uy, wx and non-edges uw,
+    xy, the set {u, w, x, y} is a 2K2, a P4 or a C4 as ux and wy are absent,
+    one present or both present.  O(n) mask operations.
+    """
+
+    def lowest(mask):
+        return (mask & -mask).bit_length()
+
+    u = max(set_of_mask(remaining), key=lambda v: (adj[v - 1] & remaining).bit_count())
+    w = lowest(remaining & ~adj[u - 1] & ~(1 << (u - 1)))
+    x = lowest(adj[w - 1] & remaining)
+    y = lowest(adj[u - 1] & remaining & ~adj[x - 1] & ~(1 << (x - 1)))
+    chords = (adj[u - 1] >> (x - 1) & 1) + (adj[w - 1] >> (y - 1) & 1)
+    return tuple(sorted((u, w, x, y))), ("2K2", "P4", "C4")[chords]
 
 
 def recognize_threshold(g, want_witness=False):
     """Reverse peeling: repeatedly drop an isolated (bit 0) or dominating
-    (bit 1) vertex; the reversed record is the creation sequence.
+    (bit 1) vertex, the smallest-index isolated one first; the reversed
+    record is the creation sequence.
 
-    Returns a CreationSequence whose graph equals g, or a RecognitionFailure.
-    The witness search behind want_witness costs O(n^4).
+    A remaining vertex's degree is its degree in g minus the number of
+    dominating vertices peeled so far, `ones` (an isolated one touches
+    nobody that remains).  With vertices bucketed by degree in index order,
+    each step takes the front of bucket `ones` (isolated) or of bucket
+    size-1+ones (dominating): O(n + m) over the adjacency masks.
+
+    Returns a CreationSequence whose graph equals g, or a RecognitionFailure
+    whose witness, when asked for, is read off the vertices left unpeeled.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no creation sequence")
-    adj = list(adjacency_masks(g))
-    remaining = (1 << g.n) - 1
+    adj = adjacency_masks(g)
+    buckets = [[] for _ in range(g.n)]
+    for v, mask in enumerate(adj, start=1):
+        buckets[mask.bit_count()].append(v)
+    heads = [0] * g.n
     order = []
     rec_bits = []
-    for step in range(g.n):
-        size = g.n - step
-        pick = None
-        bit = None
-        if size == 1:
-            pick = remaining.bit_length()  # the single remaining vertex
-            bit = "1"
+    ones = 0
+    for size in range(g.n, 0, -1):
+        # the last vertex sits in bucket `ones` too; it takes the founding 1-bit
+        if heads[ones] < len(buckets[ones]):
+            deg, bit = ones, "0" if size > 1 else "1"
+        elif heads[size - 1 + ones] < len(buckets[size - 1 + ones]):
+            deg, bit = size - 1 + ones, "1"
+            ones += 1
         else:
-            m = remaining
-            # smallest-index isolated vertex, else smallest-index dominating
-            dominating = None
-            while m:
-                low = m & -m
-                v = low.bit_length()
-                deg = (adj[v - 1] & remaining).bit_count()
-                if deg == 0:
-                    pick = v
-                    bit = "0"
-                    break
-                if deg == size - 1 and dominating is None:
-                    dominating = v
-                m ^= low
-            if pick is None and dominating is not None:
-                pick = dominating
-                bit = "1"
-        if pick is None:
             if want_witness:
-                quad, tag = _forbidden_witness(g)
-                return RecognitionFailure(quad, tag)
+                remaining = ((1 << g.n) - 1) ^ mask_of(order)
+                return RecognitionFailure(*_forbidden_witness(adj, remaining))
             return RecognitionFailure()
-        order.append(pick)
+        order.append(buckets[deg][heads[deg]])
+        heads[deg] += 1
         rec_bits.append(bit)
-        remaining &= ~(1 << (pick - 1))
     bits = "".join(reversed(rec_bits))
     vmap = tuple(reversed(order))
     return CreationSequence(bits, vmap)

@@ -250,6 +250,54 @@ def test_bound_dvp_on_a_clique_deeper_than_the_recursion_limit(write):
     assert (got.returncode, got.stdout, got.stderr) == (0, "1202\n", "")
 
 
+def planted_cycle_graph(n, length):
+    """A threshold graph (length 4) or a split graph (length 5) on 1..n-length,
+    plus a cycle on the top labels joined to its clique side: the only
+    forbidden subgraphs sit on the last labels."""
+    base = n - length
+    clique = range(1, base + 1, 2)
+    # the odd vertices form a clique and see every later vertex
+    edges = {(k, j) for k in clique for j in range(k + 1, base + 1)}
+    if length == 5:  # no clique vertex sees a multiple of 6: still split
+        edges = {(k, j) for k, j in edges if j % 2 or j % 3}
+    ring = range(base + 1, n + 1)
+    for i, u in enumerate(ring):
+        edges.add(tuple(sorted((u, ring[(i + 1) % length]))))
+        edges.update((k, u) for k in clique)
+    lines = [f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in sorted(edges)]
+    return "\n".join(lines) + "\n", edges
+
+
+@pytest.mark.parametrize(
+    "length,flags,header,tags",
+    [
+        (4, [], "not a threshold graph", {"2K2": 2, "P4": 3, "C4": 4}),
+        (5, ["--split"], "not a split graph", {"2K2": 2, "C4": 4, "C5": 5}),
+    ],
+)
+def test_recognize_witness_on_a_planted_cycle_at_160_vertices(write, length, flags, header, tags):
+    # a scan over 4- and 5-subsets would take minutes here
+    text, edges = planted_cycle_graph(160, length)
+    src = os.path.dirname(os.path.dirname(threshknap.__file__))
+    got = subprocess.run(
+        [sys.executable, "-m", "threshknap.cli", "recognize", *flags, "--witness", write("g", text)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+    )
+    assert (got.returncode, got.stderr) == (1, "")
+    first, second = got.stdout.splitlines()
+    assert first == header
+    tag, _, verts = second.removeprefix("induced ").partition(": ")
+    verts = [int(v) for v in verts.split()]
+    inside = [(u, v) for u, v in edges if u in verts and v in verts]
+    degrees = sorted(sum(v in e for e in inside) for v in verts)
+    assert len(set(verts)) == len(verts) == (5 if tag == "C5" else 4)
+    assert len(inside) == tags[tag]
+    assert degrees == {"2K2": [1] * 4, "P4": [1, 1, 2, 2], "C4": [2] * 4, "C5": [2] * 5}[tag]
+
+
 def test_bound_dvp_and_dbp(write, capsys):
     dvp = {
         "capacities": ["1", "1"],

@@ -1,17 +1,29 @@
-"""The sorted-sweep knapsack core against the reference paths it replaced
-(`oracle.reference_*`): same verdicts, witnesses, conflict graphs, solutions
-and refusals, on rows built to hit every tie and boundary the sweep has to
-get right."""
+"""Fast paths against the reference paths they replaced (`oracle.reference_*`).
+
+The sorted-sweep knapsack core: same verdicts, witnesses, conflict graphs,
+solutions and refusals, on rows built to hit every tie and boundary the
+sweep has to get right.  Recognition: same verdicts and creation sequences
+as the peel that recounted every degree, and witnesses that induce the
+forbidden subgraph they name, on threshold graphs with and without a
+flipped pair, G(n, p), planted cycles and complements."""
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshknap import oracle
-from threshknap.graphs import Graph, clique_number
+from threshknap.graphs import (
+    Graph,
+    clique_number,
+    complement,
+    induced_subgraph,
+    is_clique,
+    is_independent_set,
+)
 from threshknap.knapsack import (
     BpInstance,
     DkpInstance,
@@ -32,7 +44,16 @@ from threshknap.knapsack import (
     solve_kp_equivalent,
 )
 from threshknap.kthreshold import omega_intersection
-from threshknap.threshold import sequence_from_bits, threshold_to_kp
+from threshknap.split import recognize_split
+from threshknap.threshold import (
+    CreationSequence,
+    RecognitionFailure,
+    creation_sequence_to_graph,
+    recognize_threshold,
+    sequence_from_bits,
+    split_partition,
+    threshold_to_kp,
+)
 
 # several denominators, so rows rescale by a nontrivial lcm
 FRACTIONS = st.fractions(min_value=0, max_value=12, max_denominator=6)
@@ -286,3 +307,139 @@ def test_clique_number_beyond_recursion_limit():
         assert clique_number(g) == k
     finally:
         sys.setrecursionlimit(saved)
+
+
+# --- recognition ----------------------------------------------------------------
+
+FORBIDDEN = {
+    "2K2": Graph.from_edges(4, [(1, 2), (3, 4)]),
+    "P4": Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]),
+    "C4": Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "C5": Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+}
+THRESHOLD_TAGS = ("2K2", "P4", "C4")
+SPLIT_TAGS = ("2K2", "C4", "C5")
+# kind -> smallest n it is built for
+GRAPH_KINDS = {"threshold": 1, "flip": 2, "gnp": 1, "c4": 5, "c5": 7}
+
+
+def random_graph(seed, max_n):
+    """A relabeled threshold graph, the same with one pair flipped, G(n, p)
+    with p drawn from [0, 1], or a threshold (c4) or split (c5) graph plus a
+    cycle on the top labels joined to its clique side; half of them are
+    complemented."""
+    rng = random.Random(seed)
+    kind = rng.choice(sorted(GRAPH_KINDS))
+    n = rng.randint(GRAPH_KINDS[kind], max(max_n, GRAPH_KINDS[kind]))
+    edges = set()
+    clique = ()
+    if kind in ("threshold", "flip", "c4"):
+        base = n - 4 if kind == "c4" else n
+        vmap = list(range(1, base + 1))
+        rng.shuffle(vmap)
+        cs = sequence_from_bits("1" + "".join(rng.choice("01") for _ in range(base - 1)), vmap)
+        edges = set(creation_sequence_to_graph(cs).edges)
+        clique = split_partition(cs).K
+    if kind == "flip":
+        edges ^= {tuple(sorted(rng.sample(range(1, n + 1), 2)))}
+    elif kind == "gnp":
+        p = rng.random()
+        edges = {e for e in combinations(range(1, n + 1), 2) if rng.random() < p}
+    elif kind == "c5":
+        labels = list(range(1, n - 4))
+        rng.shuffle(labels)
+        cut = rng.randint(1, len(labels) - 1)
+        clique = labels[:cut]
+        edges = {tuple(sorted(e)) for e in combinations(clique, 2)}
+        edges |= {tuple(sorted((k, s))) for k in clique for s in labels[cut:] if rng.random() < 0.5}
+    if kind in ("c4", "c5"):
+        length = int(kind[1])
+        ring = range(n - length + 1, n + 1)
+        for i, u in enumerate(ring):
+            edges.add(tuple(sorted((u, ring[(i + 1) % length]))))
+            edges |= {(k, u) for k in clique}
+    g = Graph.from_edges(n, edges)
+    return complement(g) if rng.random() < 0.5 else g
+
+
+def assert_witness(g, failure, tags):
+    """The witness names distinct sorted vertices inducing its tag's shape."""
+    assert failure.tag in tags
+    assert list(failure.witness) == sorted(set(failure.witness))
+    sub = induced_subgraph(g, failure.witness)
+    assert oracle.brute_is_isomorphic(sub, FORBIDDEN[failure.tag])
+
+
+def assert_threshold_matches_reference(g):
+    got = recognize_threshold(g, want_witness=True)
+    want = oracle.reference_recognize_threshold(g)
+    if isinstance(want, CreationSequence):
+        assert got == want
+    else:
+        assert isinstance(got, RecognitionFailure)
+        assert_witness(g, got, THRESHOLD_TAGS)
+
+
+def assert_split_matches_reference(g):
+    got = recognize_split(g, want_witness=True)
+    split = oracle.reference_split_witness(g) == (None, None)
+    assert isinstance(got, RecognitionFailure) != split
+    if not split:
+        assert_witness(g, got, SPLIT_TAGS)
+
+
+def test_recognition_matches_reference_on_every_graph_up_to_5_vertices():
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            g = Graph(n, frozenset(e for e, on in zip(pairs, chosen) if on))
+            assert_threshold_matches_reference(g)
+            assert_split_matches_reference(g)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_recognize_threshold_matches_reference_up_to_200(seed):
+    # the reference peel is polynomial; only its 4-subset witness scan is
+    # not, and it is not run here
+    assert_threshold_matches_reference(random_graph(seed, 200))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_threshold_witness_matches_reference_scan_up_to_30(seed):
+    g = random_graph(seed, 30)
+    got = recognize_threshold(g, want_witness=True)
+    want = oracle.reference_recognize_threshold(g, want_witness=True)
+    assert isinstance(got, RecognitionFailure) == isinstance(want, RecognitionFailure)
+    if isinstance(got, RecognitionFailure):
+        assert_witness(g, got, THRESHOLD_TAGS)
+        assert_witness(g, want, THRESHOLD_TAGS)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_split_witness_matches_reference_scan_up_to_14(seed):
+    assert_split_matches_reference(random_graph(seed, 14))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_split_recognition_up_to_200(seed):
+    g = random_graph(seed, 200)
+    got = recognize_split(g, want_witness=True)
+    if isinstance(got, RecognitionFailure):
+        assert_witness(g, got, SPLIT_TAGS)
+    else:
+        assert is_clique(g, got.K) and is_independent_set(g, got.S)
+
+
+@pytest.mark.parametrize("length", range(4, 10))
+def test_witnesses_on_cycles_and_their_complements(length):
+    # cycles of length >= 6 give the split witness's 2K2 from four of the
+    # cycle's positions; their complements hold its C4s
+    cycle = Graph.from_edges(length, [(i, i % length + 1) for i in range(1, length + 1)])
+    for g in (cycle, complement(cycle)):
+        assert_threshold_matches_reference(g)
+        got = recognize_split(g, want_witness=True)
+        assert_witness(g, got, SPLIT_TAGS)

@@ -16,7 +16,6 @@ from threshknap.kthreshold import (
     CoverFormatError,
     ThresholdCover,
     alpha_k,
-    count_is_k,
     cover_from_graphs,
     cover_from_sequences,
     enumerate_im_k,
@@ -29,7 +28,12 @@ from threshknap.kthreshold import (
     parse_cover,
     two_threshold_partition,
 )
-from threshknap.threshold import creation_sequence_to_graph, sequence_from_bits
+from threshknap import kthreshold
+from threshknap.threshold import (
+    SplitPartition,
+    creation_sequence_to_graph,
+    sequence_from_bits,
+)
 
 
 def random_cover(rng, max_n=9, max_k=3):
@@ -156,7 +160,7 @@ def test_enumerate_im_k_matches_oracle(cover):
 def test_enumerate_is_k_matches_oracle(cover):
     fam = enumerate_is_k(cover)
     assert fam == oracle.brute_independent_sets(cover.covered)
-    assert count_is_k(cover) == len(fam)
+    assert len(fam) == oracle.brute_count_independent_sets(cover.covered)
 
 
 def test_is_k_guard():
@@ -176,6 +180,22 @@ def test_mc_intersection_matches_oracle(cover):
 def test_two_threshold_partition_requires_two_members():
     with pytest.raises(ContractError):
         two_threshold_partition(cover_from_sequences([sequence_from_bits("11")]))
+
+
+@pytest.mark.parametrize(
+    "side,message",
+    [("K", "not a clique"), ("S", "not independent")],
+)
+def test_two_threshold_partition_rejects_an_inconsistent_partition(
+    monkeypatch, side, message
+):
+    # every vertex on one side: K is then no clique of the union (HOUSE has
+    # non-edges) and S no independent set (it has edges)
+    everyone = tuple(HOUSE.covered.vertices)
+    bad = SplitPartition(everyone, ()) if side == "K" else SplitPartition((), everyone)
+    monkeypatch.setattr(kthreshold, "split_partition", lambda cs, mode: bad)
+    with pytest.raises(ContractError, match=message):
+        two_threshold_partition(HOUSE)
 
 
 def test_two_threshold_partition_blocks():
