@@ -11,7 +11,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .graphs import format_graph, parse_graph
+from .graphs import content_lines, format_graph, parse_graph
 from .knapsack import (
     BpInstance,
     DkpInstance,
@@ -65,16 +65,8 @@ def _read(path):
 
 def _sniff(text):
     """'graph' for `p ...` input, 'cover' for `k ...`, else 'sequence'."""
-    for raw in text.splitlines():
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        tok = s.split()[0]
-        if tok == "p":
-            return "graph"
-        if tok == "k":
-            return "cover"
-        return "sequence"
+    for _, line in content_lines(text):
+        return {"p": "graph", "k": "cover"}.get(line.split()[0], "sequence")
     return "sequence"
 
 

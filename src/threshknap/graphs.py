@@ -96,6 +96,32 @@ def adjacency_masks(g):
     return tuple(masks)
 
 
+def graph_from_masks(masks):
+    """The Graph with adjacency masks `masks` (masks[v-1] for vertex v): the
+    one conversion from masks to an edge set."""
+    edges = []
+    for u, m in enumerate(masks, start=1):
+        m >>= u  # bit k now stands for vertex u + 1 + k
+        while m:
+            low = m & -m
+            edges.append((u, u + low.bit_length()))
+            m ^= low
+    return Graph(len(masks), frozenset(edges))
+
+
+def is_maximal_independent(adj, m):
+    """Is the vertex mask m a maximal independent set of the graph with
+    adjacency masks adj?  One pass over the members of m: their
+    neighborhoods must miss m and, together with m, hold every vertex."""
+    seen = 0
+    rest = m
+    while rest:
+        low = rest & -rest
+        seen |= adj[low.bit_length() - 1]
+        rest ^= low
+    return seen & m == 0 and seen | m == (1 << len(adj)) - 1
+
+
 def mask_of(s):
     m = 0
     for v in s:
@@ -202,6 +228,15 @@ def induced_subgraph(g, s):
     return Graph(len(verts), frozenset(edges))
 
 
+def content_lines(text):
+    """(line number, stripped line) for each line of the text formats that
+    is neither blank nor a `#` comment; numbering counts every line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_graph(text):
     """Parse the text graph format: `p <n> <m>` then m lines `e <u> <v>`, u < v.
 
@@ -210,10 +245,7 @@ def parse_graph(text):
     n = None
     m = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if n is not None:
@@ -257,11 +289,11 @@ def format_graph(g):
     return "\n".join(lines) + "\n"
 
 
-def maximal_cliques(g):
-    """All maximal cliques, canonical order (Bron-Kerbosch with pivoting).
-    The recursion runs on an explicit stack, so clique size is not bounded
-    by the interpreter's recursion limit."""
-    adj = adjacency_masks(g)
+def _cliques(adj):
+    """Masks of the maximal cliques of the graph with adjacency masks adj,
+    by Bron-Kerbosch with pivoting.  The recursion runs on an explicit
+    stack, so clique size is not bounded by the interpreter's recursion
+    limit."""
     out = []
 
     def pivot_candidates(p, x):
@@ -281,8 +313,8 @@ def maximal_cliques(g):
     # frames [r, p, x, candidates left]; a child call takes the lowest
     # candidate, after which the parent moves it from p to x
     stack = []
-    if g.n:
-        full = (1 << g.n) - 1
+    if adj:
+        full = (1 << len(adj)) - 1
         stack.append([0, full, 0, pivot_candidates(full, 0)])
     while stack:
         frame = stack[-1]
@@ -298,11 +330,14 @@ def maximal_cliques(g):
             out.append(cr)
         else:
             stack.append([cr, cp, cx, pivot_candidates(cp, cx)])
-    return canonical_family(set_of_mask(m) for m in out)
+    return out
+
+
+def maximal_cliques(g):
+    """All maximal cliques, canonical order."""
+    return canonical_family(set_of_mask(m) for m in _cliques(adjacency_masks(g)))
 
 
 def clique_number(g):
     """Exact ω(g); 0 for the empty graph."""
-    if g.n == 0:
-        return 0
-    return max(len(c) for c in maximal_cliques(g))
+    return max((c.bit_count() for c in _cliques(adjacency_masks(g))), default=0)

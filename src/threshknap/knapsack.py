@@ -11,20 +11,21 @@ it is always a threshold graph, which is what makes the solvers polynomial.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .graphs import Graph, clique_number, format_graph
+from .graphs import Graph, _cliques, format_graph
 from .kthreshold import ThresholdCover, enumerate_mis_k, omega_intersection
 from .threshold import (
     CreationSequence,
+    _recognize,
     alpha_omega,
     creation_sequence_to_graph,
     enumerate_mis,
-    recognize_threshold,
 )
 
 
@@ -57,6 +58,8 @@ def rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            _bound_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -64,6 +67,22 @@ def rational(value):
     raise InstanceFormatError(
         f"numbers must be strings or integers, got {type(value).__name__}"
     )
+
+
+def _bound_exponent(text):
+    """Refuse an exponent (after the last E) above the interpreter's digit
+    limit for integer strings, `sys.get_int_max_str_digits()` (0: none).
+    Fraction writes 10**exponent out in full, so a short string could
+    otherwise ask for unbounded work."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        exponent = abs(int(text.upper().rpartition("E")[2]))
+    except ValueError:  # not an exponent, or one Fraction refuses as well
+        return
+    if limit and exponent > limit:
+        raise InstanceFormatError(
+            f"cannot parse number {text!r}: exponent beyond {limit}"
+        )
 
 
 def format_rational(q):
@@ -186,17 +205,20 @@ class Solution:
 class EquivalenceReport:
     """Verdict and witness of an equivalence check.  `conflict` holds the
     conflict graph in the form at hand: the creation sequence of a one-row
-    instance, turned into a Graph on first access to `conflict_graph`, or
-    the Graph itself (no items, or several rows)."""
+    instance or the cover of several rows, turned into a Graph on first
+    access to `conflict_graph`, or the empty Graph when there are no
+    items."""
 
     equivalent: bool
-    conflict: CreationSequence | Graph
+    conflict: CreationSequence | ThresholdCover | Graph
     witness: tuple | None
 
     @cached_property
     def conflict_graph(self):
         if isinstance(self.conflict, CreationSequence):
             return creation_sequence_to_graph(self.conflict)
+        if isinstance(self.conflict, ThresholdCover):
+            return self.conflict.covered
         return self.conflict
 
 
@@ -211,6 +233,8 @@ def parse_instance(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     if ("capacity" in obj) == ("capacities" in obj):
@@ -482,50 +506,13 @@ def _dimension_rows(inst):
     ]
 
 
-def _sequence_masks(cs):
-    """Neighbor bitmask per vertex (bit v-1 for vertex v) of the sequence's
-    graph: a vertex sees every later 1-bit vertex and, when its own bit is
-    1, every earlier vertex."""
-    masks = [0] * cs.n
-    later_ones = 0
-    for i in range(cs.n - 1, -1, -1):
-        v = cs.vmap[i] - 1
-        masks[v] = later_ones
-        if cs.bits[i] == "1":
-            later_ones |= 1 << v
-    earlier = 0
-    for i in range(cs.n):
-        v = cs.vmap[i] - 1
-        if cs.bits[i] == "1":
-            masks[v] |= earlier
-        earlier |= 1 << v
-    return masks
-
-
-def _union_graph(rows, n):
-    """Union of the rows' conflict graphs, by OR of their adjacency masks."""
-    union = [0] * n
-    for row in rows:
-        if row.sequence is not None:
-            for v, m in enumerate(_sequence_masks(row.sequence)):
-                union[v] |= m
-    edges = []
-    for u, m in enumerate(union, start=1):
-        m >>= u  # bit k now stands for vertex u + 1 + k
-        while m:
-            low = m & -m
-            edges.append((u, u + low.bit_length()))
-            m ^= low
-    return Graph(n, frozenset(edges))
+def _cover(rows):
+    return ThresholdCover(tuple(row.sequence for row in rows))
 
 
 def conflict_graph_dkp(inst):
     """Union over dimensions of the per-dimension conflict graphs."""
-    return _union_graph(_dimension_rows(inst), inst.n)
-
-
-def _cover(rows):
-    return ThresholdCover(tuple(row.sequence for row in rows))
+    return _cover(_dimension_rows(inst)).covered if inst.n else _NO_ITEMS
 
 
 def conflict_cover_dkp(inst):
@@ -537,34 +524,35 @@ def conflict_cover_dkp(inst):
 
 
 def _dkp_mis_families(inst, rows):
-    """(union conflict graph, its maximal independent sets as 0-based index
-    tuples in canonical order)."""
-    g = _union_graph(rows, inst.n)
+    """(union conflict graph as the rows' cover, or the empty Graph without
+    items; its maximal independent sets as 0-based index tuples in
+    canonical order)."""
     if inst.n == 0:
-        return g, []
-    # the union graph is often threshold itself; its single sequence is
-    # cheaper than the tuple product
-    got = recognize_threshold(g)
+        return _NO_ITEMS, []
+    cover = _cover(rows)
+    # the union is often threshold itself; its single sequence is cheaper
+    # than the tuple product
+    got = _recognize(cover.union_masks)
     if isinstance(got, CreationSequence):
         fam = enumerate_mis(got)
     else:
-        fam = enumerate_mis_k(_cover(rows))
-    return g, [tuple(v - 1 for v in s) for s in fam]
+        fam = enumerate_mis_k(cover)
+    return cover, [tuple(v - 1 for v in s) for s in fam]
 
 
 def _check_dkp(inst, rows):
     """(report, family): the first maximal independent set of the union, in
     canonical order, that overfills some dimension is shrunk to the
     witness."""
-    g, fam = _dkp_mis_families(inst, rows)
+    conflict, fam = _dkp_mis_families(inst, rows)
     limits = [(row.sizes, row.capacity) for row in rows]
     for s in fam:
         if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits):
             weight = {j: sum(inst.items[j].sizes) for j in s}
             small = _shrink_witness(s, weight, limits)
             ids = tuple(inst.items[j].id for j in small)
-            return EquivalenceReport(False, g, ids), fam
-    return EquivalenceReport(True, g, None), fam
+            return EquivalenceReport(False, conflict, ids), fam
+    return EquivalenceReport(True, conflict, None), fam
 
 
 def check_equivalence_dkp(inst):
@@ -636,15 +624,16 @@ def _check_dimensions_equivalent(inst):
 def dvp_lower_bound(inst):
     """Vector packing: clique number of the union conflict graph.  When the
     union is itself threshold the number falls out of its sequence; otherwise
-    it is computed by maximal-clique enumeration on the union directly."""
+    it is computed by maximal-clique enumeration on the union's adjacency
+    masks directly."""
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
-    g = _union_graph(_check_dimensions_equivalent(inst), inst.n)
-    got = recognize_threshold(g)
+    adj = _cover(_check_dimensions_equivalent(inst)).union_masks
+    got = _recognize(adj)
     if isinstance(got, CreationSequence):
         return alpha_omega(got)[1]
-    return clique_number(g)
+    return max(c.bit_count() for c in _cliques(adj))
 
 
 def dbp_lower_bound(inst):

@@ -10,7 +10,7 @@ Nothing in the library proper depends on this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm
 
 from .graphs import (
@@ -19,6 +19,7 @@ from .graphs import (
     adjacency_masks,
     canonical_family,
     complement,
+    mask_of,
     set_of_mask,
 )
 from .knapsack import (
@@ -29,10 +30,11 @@ from .knapsack import (
     Solution,
     per_dimension_instances,
 )
-from .kthreshold import ThresholdCover, enumerate_mis_k
+from .kthreshold import ThresholdCover
 from .threshold import (
     CreationSequence,
     RecognitionFailure,
+    complement_sequence,
     enumerate_mis,
 )
 
@@ -635,7 +637,7 @@ def _dkp_mis_families(inst):
     if isinstance(got, CreationSequence):
         fam = enumerate_mis(got)
     else:
-        fam = enumerate_mis_k(reference_conflict_cover_dkp(inst))
+        fam = reference_enumerate_mis_k(reference_conflict_cover_dkp(inst))
     return g, [tuple(v - 1 for v in s) for s in fam]
 
 
@@ -670,6 +672,46 @@ def reference_solve_dkp_equivalent(inst):
         for i in range(inst.d)
     )
     return Solution(tuple(inst.items[j].id for j in chosen), profit, totals)
+
+
+def _intersections(families):
+    seen = set()
+    for tup in product(*families):
+        m = tup[0]
+        for x in tup[1:]:
+            m &= x
+        seen.add(m)
+    seen.discard(0)
+    return seen
+
+
+def _drop_subsets(masks):
+    order = sorted(masks, key=lambda m: -m.bit_count())
+    kept = []
+    for m in order:
+        if not any(m & ~big == 0 for big in kept):
+            kept.append(m)
+    return kept
+
+
+def reference_enumerate_mis_k(cover):
+    """Maximal independent sets of the union: intersect every tuple of
+    per-member maximal sets, then discard subsets of other results.
+    O(F^2) in the number F of distinct intersections."""
+    fams = [[mask_of(s) for s in enumerate_mis(cs)] for cs in cover.members]
+    inters = _intersections(fams)
+    return canonical_family(set_of_mask(m) for m in _drop_subsets(inters))
+
+
+def reference_enumerate_mc_intersection(cover):
+    """Maximal cliques of the intersection of the members, via maximal
+    independent sets of the complements."""
+    fams = [
+        [mask_of(s) for s in enumerate_mis(complement_sequence(cs))]
+        for cs in cover.members
+    ]
+    inters = _intersections(fams)
+    return canonical_family(set_of_mask(m) for m in _drop_subsets(inters))
 
 
 def reference_threshold_to_kp(cs, profits=None):

@@ -11,6 +11,7 @@ from .graphs import (
     ContractError,
     adjacency_masks,
     canonical_family,
+    is_maximal_independent,
     mask_of,
     set_of_mask,
 )
@@ -165,32 +166,19 @@ def enumerate_mis_split(g, p):
     _require_normalized(g, p)
     adj = adjacency_masks(g)
     sm = mask_of(p.S)
-    full = (1 << g.n) - 1
     loners = [v for v in p.K if not (adj[v - 1] & sm)]
     out = []
     if not loners:
-        out.append(sm)  # empty masks are filtered below, so n=0 stays empty
+        out.append(sm)  # the family drops the empty set, so n=0 stays empty
     for v in p.K:
         vb = 1 << (v - 1)
         if not (adj[v - 1] & sm):
             out.append(sm | vb)
         else:
             out.append((sm & ~adj[v - 1]) | vb)
-    kept = []
-    for m in out:
-        if not m:
-            continue
-        rest = full & ~m
-        maximal = True
-        while rest:
-            low = rest & -rest
-            if not (adj[low.bit_length() - 1] & m):
-                maximal = False
-                break
-            rest ^= low
-        if maximal:
-            kept.append(m)
-    return canonical_family(set_of_mask(m) for m in kept)
+    return canonical_family(
+        set_of_mask(m) for m in out if is_maximal_independent(adj, m)
+    )
 
 
 def count_mis_split(g, p):

@@ -16,6 +16,7 @@ from .graphs import (
     Graph,
     adjacency_masks,
     canonical_family,
+    content_lines,
     mask_of,
     set_of_mask,
 )
@@ -81,6 +82,26 @@ def creation_sequence_to_graph(cs):
     return Graph(cs.n, frozenset(edges))
 
 
+def sequence_masks(cs):
+    """Adjacency masks of the sequence's graph (bit v-1 for vertex v), the
+    one conversion from a creation sequence to masks: a vertex sees every
+    later 1-bit vertex and, when its own bit is 1, every earlier vertex."""
+    masks = [0] * cs.n
+    later_ones = 0
+    for i in range(cs.n - 1, -1, -1):
+        v = cs.vmap[i] - 1
+        masks[v] = later_ones
+        if cs.bits[i] == "1":
+            later_ones |= 1 << v
+    earlier = 0
+    for i in range(cs.n):
+        v = cs.vmap[i] - 1
+        if cs.bits[i] == "1":
+            masks[v] |= earlier
+        earlier |= 1 << v
+    return masks
+
+
 def _forbidden_witness(adj, remaining):
     """Induced 2K2, P4 or C4 inside `remaining`, a vertex mask whose induced
     subgraph has no isolated and no dominating vertex (where peeling stuck).
@@ -118,17 +139,22 @@ def recognize_threshold(g, want_witness=False):
     Returns a CreationSequence whose graph equals g, or a RecognitionFailure
     whose witness, when asked for, is read off the vertices left unpeeled.
     """
-    if g.n == 0:
+    return _recognize(adjacency_masks(g), want_witness)
+
+
+def _recognize(adj, want_witness=False):
+    """recognize_threshold on the graph with adjacency masks adj."""
+    n = len(adj)
+    if n == 0:
         raise ValueError("the empty graph has no creation sequence")
-    adj = adjacency_masks(g)
-    buckets = [[] for _ in range(g.n)]
+    buckets = [[] for _ in range(n)]
     for v, mask in enumerate(adj, start=1):
         buckets[mask.bit_count()].append(v)
-    heads = [0] * g.n
+    heads = [0] * n
     order = []
     rec_bits = []
     ones = 0
-    for size in range(g.n, 0, -1):
+    for size in range(n, 0, -1):
         # the last vertex sits in bucket `ones` too; it takes the founding 1-bit
         if heads[ones] < len(buckets[ones]):
             deg, bit = ones, "0" if size > 1 else "1"
@@ -137,7 +163,7 @@ def recognize_threshold(g, want_witness=False):
             ones += 1
         else:
             if want_witness:
-                remaining = ((1 << g.n) - 1) ^ mask_of(order)
+                remaining = ((1 << n) - 1) ^ mask_of(order)
                 return RecognitionFailure(*_forbidden_witness(adj, remaining))
             return RecognitionFailure()
         order.append(buckets[deg][heads[deg]])
@@ -293,10 +319,7 @@ def parse_sequence(text):
     """Parse `<bits>` plus an optional `v <v(1)> ...` map line."""
     bits = None
     vmap = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "v":
             if bits is None:

@@ -246,8 +246,25 @@ def test_bound_dvp_on_a_clique_deeper_than_the_recursion_limit(write):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
     )
     assert (got.returncode, got.stdout, got.stderr) == (0, "1202\n", "")
+
+
+def test_deeply_nested_json_is_input_error(write):
+    # the JSON decoder recurses once per bracket
+    path = write("i.json", "[" * 100_000)
+    src = os.path.dirname(os.path.dirname(threshknap.__file__))
+    got = subprocess.run(
+        [sys.executable, "-m", "threshknap.cli", "check", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr.startswith("error: ") and got.stderr.count("\n") == 1
+    assert "Traceback" not in got.stderr
 
 
 def planted_cycle_graph(n, length):

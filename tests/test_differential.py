@@ -5,7 +5,9 @@ solutions and refusals, on rows built to hit every tie and boundary the
 sweep has to get right.  Recognition: same verdicts and creation sequences
 as the peel that recounted every degree, and witnesses that induce the
 forbidden subgraph they name, on threshold graphs with and without a
-flipped pair, G(n, p), planted cycles and complements."""
+flipped pair, G(n, p), planted cycles and complements.  Covers: the
+per-candidate maximality test gives the families the pairwise subset
+filter gave."""
 import random
 import sys
 from fractions import Fraction
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 from threshknap import oracle
 from threshknap.graphs import (
     Graph,
+    adjacency_masks,
     clique_number,
     complement,
     induced_subgraph,
     is_clique,
     is_independent_set,
+    is_maximal_independent,
 )
 from threshknap.knapsack import (
     BpInstance,
@@ -43,7 +47,12 @@ from threshknap.knapsack import (
     solve_dkp_equivalent,
     solve_kp_equivalent,
 )
-from threshknap.kthreshold import omega_intersection
+from threshknap.kthreshold import (
+    cover_from_sequences,
+    enumerate_mc_intersection,
+    enumerate_mis_k,
+    omega_intersection,
+)
 from threshknap.split import recognize_split
 from threshknap.threshold import (
     CreationSequence,
@@ -443,3 +452,39 @@ def test_witnesses_on_cycles_and_their_complements(length):
         assert_threshold_matches_reference(g)
         got = recognize_split(g, want_witness=True)
         assert_witness(g, got, SPLIT_TAGS)
+
+
+# --- cover enumeration ----------------------------------------------------------
+
+
+def random_cover(seed, max_n):
+    """k in {2, 3} relabelled sequences on n <= max_n vertices, each with its
+    own 1-bit density."""
+    rng = random.Random(seed)
+    k, n = rng.choice((2, 3)), rng.randint(1, max_n)
+    seqs = []
+    for _ in range(k):
+        p = rng.random()
+        vmap = list(range(1, n + 1))
+        rng.shuffle(vmap)
+        bits = "1" + "".join("1" if rng.random() < p else "0" for _ in range(n - 1))
+        seqs.append(sequence_from_bits(bits, vmap))
+    return cover_from_sequences(seqs)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_cover_families_match_reference_up_to_120(seed):
+    cover = random_cover(seed, 120)
+    assert enumerate_mis_k(cover) == oracle.reference_enumerate_mis_k(cover)
+    assert enumerate_mc_intersection(cover) == oracle.reference_enumerate_mc_intersection(cover)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_maximality_test_matches_oracle_on_every_subset_up_to_8(seed):
+    g = random_graph(seed, 8)
+    adj = adjacency_masks(g)
+    maximal = set(oracle._maximal_independent_masks(g))
+    for m in range(1 << g.n):
+        assert is_maximal_independent(adj, m) == (m in maximal)

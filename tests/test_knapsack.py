@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,20 @@ def test_rational_accepts_exact_forms():
     assert rational("-3") == Fraction(-3)
     assert rational(5) == Fraction(5)
     assert rational(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_rational_bounds_exponents_by_the_int_digit_limit():
+    # Fraction writes 10**exponent out in full; these are refused before it
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert rational("1.5e3") == 1500
+        assert rational("1e-4300") == Fraction(1, 10**4300)
+        for text in ("1e4301", "1E-4_301", "1e999999999", "1e-999999999"):
+            with pytest.raises(InstanceFormatError, match="exponent"):
+                rational(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_rational_refuses_floats():
