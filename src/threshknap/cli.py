@@ -10,6 +10,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .graphs import content_lines, format_graph, parse_graph
 from .knapsack import (
@@ -267,6 +268,7 @@ def _positive_int(text):
     return val
 
 
+@cache  # built once per process; parse_args returns a fresh Namespace per call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="threshknap",

@@ -3,15 +3,16 @@ the rest of the library.
 
 Vertices are 1-indexed integers.  Vertex sets travel as sorted tuples, set
 families as lists of such tuples in canonical order (cardinality first, then
-lexicographic).  Adjacency is kept as one Python int bitmask per vertex (bit
-v-1 stands for vertex v), which covers any n without a word-size split.
+lexicographic).  A graph is its adjacency: one Python int bitmask per vertex
+(bit v-1 stands for vertex v), which covers any n without a word-size split.
+Its edge set is derived from the masks, only when it is read or printed.
 The empty set is excluded from every family the library returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 
 
 class GraphFormatError(ValueError):
@@ -40,73 +41,93 @@ class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable undirected simple graph: vertex count plus normalized edges."""
+    """Immutable undirected simple graph: the vertex count and one adjacency
+    mask per vertex, masks[v-1] holding bit u-1 iff {u, v} is an edge.
+
+    `Graph(n, edges)` checks every edge, a pair (u, v) with 1 <= u < v <= n;
+    `graph_from_masks` is the unchecked constructor.  Equality and hash go
+    by (n, masks)."""
 
     n: int
-    edges: frozenset
+    masks: tuple
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, edges):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for e in self.edges:
+        masks = [0] * n
+        for e in edges:
             u, v = e
-            if not (1 <= u < v <= self.n):
-                raise GraphFormatError(f"edge {e} invalid for n={self.n}")
+            if not (1 <= u < v <= n):
+                raise GraphFormatError(f"edge {e} invalid for n={n}")
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        _fill(self, masks)
 
     @staticmethod
     def from_edges(n, edge_list):
-        norm = set()
+        norm = []
         for u, v in edge_list:
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
-            norm.add((u, v) if u < v else (v, u))
-        return Graph(n, frozenset(norm))
+            norm.append((u, v) if u < v else (v, u))
+        return Graph(n, norm)
+
+    @cached_property
+    def edges(self):
+        """frozenset of the (u, v) edges, u < v, built on first access."""
+        return frozenset(_pairs(self.masks))
 
     @property
     def m(self):
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        return 1 <= u <= self.n and 1 <= v <= self.n and bool(self.masks[u - 1] >> (v - 1) & 1)
 
     def degree(self, v):
-        return adjacency_masks(self)[v - 1].bit_count()
+        return self.masks[v - 1].bit_count()
 
     def neighbors(self, v):
-        return set_of_mask(adjacency_masks(self)[v - 1])
+        return set_of_mask(self.masks[v - 1])
 
     @property
     def vertices(self):
         return tuple(range(1, self.n + 1))
 
 
-@lru_cache(maxsize=4096)
-def adjacency_masks(g):
-    """Per-vertex neighbor bitmasks; masks[v-1] has bit u-1 set iff {u,v} edge."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return tuple(masks)
+def _fill(g, masks):
+    object.__setattr__(g, "n", len(masks))
+    object.__setattr__(g, "masks", tuple(masks))
+    return g
 
 
 def graph_from_masks(masks):
-    """The Graph with adjacency masks `masks` (masks[v-1] for vertex v): the
-    one conversion from masks to an edge set."""
-    edges = []
+    """The Graph with adjacency masks `masks` (masks[v-1] for vertex v),
+    taken as given: they must be symmetric and loop-free."""
+    return _fill(object.__new__(Graph), masks)
+
+
+# maxsize=0 stores nothing and never hashes its argument; the wrapper only
+# keeps cache_info() answering for perfbench's tracer (ROADMAP item 1).
+@lru_cache(maxsize=0)
+def adjacency_masks(g):
+    """Per-vertex neighbor bitmasks; masks[v-1] has bit u-1 set iff {u,v} edge."""
+    return g.masks
+
+
+def _pairs(masks):
+    """The edges (u, v), u < v, of the graph with adjacency masks `masks`,
+    in lexicographic order."""
     for u, m in enumerate(masks, start=1):
         m >>= u  # bit k now stands for vertex u + 1 + k
         while m:
             low = m & -m
-            edges.append((u, u + low.bit_length()))
+            yield u, u + low.bit_length()
             m ^= low
-    return Graph(len(masks), frozenset(edges))
 
 
 def is_maximal_independent(adj, m):
@@ -153,48 +174,27 @@ def canonical_family(sets):
     return sorted(uniq, key=lambda t: (len(t), t))
 
 
-def family_equal(f1, f2):
-    return canonical_family(f1) == canonical_family(f2)
-
-
 def complement(g):
-    comp = {(u, v) for u, v in combinations(range(1, g.n + 1), 2)} - set(g.edges)
-    return Graph(g.n, frozenset(comp))
+    full = (1 << g.n) - 1
+    return graph_from_masks([full ^ m ^ (1 << i) for i, m in enumerate(g.masks)])
 
 
 def is_independent_set(g, s):
     _check_set(g, s)
     m = mask_of(s)
-    adj = adjacency_masks(g)
-    return all(adj[v - 1] & m == 0 for v in s)
+    return all(g.masks[v - 1] & m == 0 for v in s)
 
 
 def is_clique(g, s):
     _check_set(g, s)
     m = mask_of(s)
-    adj = adjacency_masks(g)
     # every member must see all the others
-    return all(adj[v - 1] & m == m & ~(1 << (v - 1)) for v in s)
+    return all(g.masks[v - 1] & m == m & ~(1 << (v - 1)) for v in s)
 
 
-def neighborhood(g, v, s):
-    """N(v,S): members of s adjacent to v."""
-    if not (1 <= v <= g.n):
-        raise VertexRangeError(f"vertex {v} outside 1..{g.n}")
-    _check_set(g, s)
-    return set_of_mask(adjacency_masks(g)[v - 1] & mask_of(s))
-
-
-def non_neighborhood(g, v, s):
-    """N̄(v,S) = S - (N(v,S) ∪ {v})."""
-    if not (1 <= v <= g.n):
-        raise VertexRangeError(f"vertex {v} outside 1..{g.n}")
-    _check_set(g, s)
-    m = mask_of(s) & ~adjacency_masks(g)[v - 1] & ~(1 << (v - 1))
-    return set_of_mask(m)
-
-
-def _shared_n(gs):
+def _columns(gs):
+    """Per vertex, the tuple of its masks in the graphs gs, which must share
+    their vertex count."""
     gs = list(gs)
     if not gs:
         raise ShapeMismatchError("need at least one graph")
@@ -202,30 +202,26 @@ def _shared_n(gs):
     for g in gs[1:]:
         if g.n != n:
             raise ShapeMismatchError(f"vertex counts differ: {g.n} vs {n}")
-    return n, gs
+    return zip(*(g.masks for g in gs))
 
 
 def union_graphs(gs):
-    n, gs = _shared_n(gs)
-    edges = frozenset().union(*(g.edges for g in gs))
-    return Graph(n, edges)
+    return graph_from_masks([reduce(or_, col) for col in _columns(gs)])
 
 
 def intersect_graphs(gs):
-    n, gs = _shared_n(gs)
-    edges = set(gs[0].edges)
-    for g in gs[1:]:
-        edges &= g.edges
-    return Graph(n, frozenset(edges))
+    return graph_from_masks([reduce(and_, col) for col in _columns(gs)])
 
 
 def induced_subgraph(g, s):
     """Subgraph on s with vertices relabeled 1..|s| in sorted order."""
     _check_set(g, s)
     verts = sorted(set(s))
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    edges = {(index[u], index[v]) for u, v in g.edges if u in index and v in index}
-    return Graph(len(verts), frozenset(edges))
+    keep = mask_of(verts)
+    index = {v: i for i, v in enumerate(verts, start=1)}
+    return graph_from_masks(
+        [mask_of(index[u] for u in set_of_mask(g.masks[v - 1] & keep)) for v in verts]
+    )
 
 
 def content_lines(text):
@@ -240,25 +236,19 @@ def content_lines(text):
 def parse_graph(text):
     """Parse the text graph format: `p <n> <m>` then m lines `e <u> <v>`, u < v.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  Each edge line is
+    checked once and ORed into the masks of its endpoints, which also
+    catches a repeated line; the n-entry mask list is made only once every
+    line has passed, so a huge header cannot outrun a later line's error.
     """
     n = None
     m = None
-    edges = []
+    found = 0  # edge lines, repeats included
+    adj = {}  # vertex -> mask of the neighbors seen so far
+    repeated = False
     for lineno, line in content_lines(text):
         parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate header", lineno)
-            if len(parts) != 3:
-                raise GraphFormatError("header must be `p <n> <m>`", lineno)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("non-integer header fields", lineno) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError("negative header fields", lineno)
-        elif parts[0] == "e":
+        if parts[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before header", lineno)
             if len(parts) != 3:
@@ -271,21 +261,41 @@ def parse_graph(text):
                 raise GraphFormatError(
                     f"edge endpoints must satisfy 1 <= u < v <= {n}, got {u} {v}", lineno
                 )
-            edges.append((u, v))
+            found += 1
+            bit = 1 << (v - 1)
+            mask = adj.get(u, 0)
+            if mask & bit:
+                repeated = True
+            adj[u] = mask | bit
+            adj[v] = adj.get(v, 0) | 1 << (u - 1)
+        elif parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError("duplicate header", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("header must be `p <n> <m>`", lineno)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("non-integer header fields", lineno) from None
+            if n < 0 or m < 0:
+                raise GraphFormatError("negative header fields", lineno)
         else:
             raise GraphFormatError(f"unknown record `{parts[0]}`", lineno)
     if n is None:
         raise GraphFormatError("missing `p <n> <m>` header")
-    if m != len(edges):
-        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
-    if len(set(edges)) != len(edges):
+    if m != found:
+        raise GraphFormatError(f"header promises {m} edges, found {found}")
+    if repeated:
         raise GraphFormatError("duplicate edge lines")
-    return Graph(n, frozenset(edges))
+    masks = [0] * n
+    for v, mask in adj.items():
+        masks[v - 1] = mask
+    return graph_from_masks(masks)
 
 
 def format_graph(g):
     lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"e {u} {v}" for u, v in _pairs(g.masks))
     return "\n".join(lines) + "\n"
 
 
@@ -335,9 +345,9 @@ def _cliques(adj):
 
 def maximal_cliques(g):
     """All maximal cliques, canonical order."""
-    return canonical_family(set_of_mask(m) for m in _cliques(adjacency_masks(g)))
+    return canonical_family(set_of_mask(m) for m in _cliques(g.masks))
 
 
 def clique_number(g):
     """Exact ω(g); 0 for the empty graph."""
-    return max((c.bit_count() for c in _cliques(adjacency_masks(g))), default=0)
+    return max((c.bit_count() for c in _cliques(g.masks)), default=0)

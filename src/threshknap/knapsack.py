@@ -334,7 +334,7 @@ def format_report(rep):
 # the one-row core: conflict graphs and equivalence
 
 
-_NO_ITEMS = Graph(0, frozenset())
+_NO_ITEMS = Graph(0, ())
 
 
 def _integers(values):
@@ -487,16 +487,6 @@ def solve_kp_equivalent(inst):
 
 # ---------------------------------------------------------------------------
 # d-dimensional instances: the one-row core once per dimension
-
-
-def per_dimension_instances(inst):
-    out = []
-    for i in range(inst.d):
-        items = tuple(
-            KpItem(it.id, it.profit, it.sizes[i]) for it in inst.items
-        )
-        out.append(KpInstance(items, inst.capacities[i]))
-    return out
 
 
 def _dimension_rows(inst):

@@ -27,7 +27,6 @@ from .graphs import (
 from .threshold import (
     RecognitionFailure,
     complement_sequence,
-    creation_sequence_to_graph,
     enumerate_is,
     enumerate_mis,
     parse_sequence,
@@ -60,10 +59,6 @@ class ThresholdCover:
     @property
     def n(self):
         return self.members[0].n
-
-    @cached_property
-    def member_graphs(self):
-        return tuple(creation_sequence_to_graph(cs) for cs in self.members)
 
     @cached_property
     def union_masks(self):

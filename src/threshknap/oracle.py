@@ -16,9 +16,10 @@ from math import lcm
 from .graphs import (
     CapacityError,
     Graph,
-    adjacency_masks,
+    GraphFormatError,
     canonical_family,
     complement,
+    content_lines,
     mask_of,
     set_of_mask,
 )
@@ -28,13 +29,13 @@ from .knapsack import (
     KpItem,
     NotEquivalentError,
     Solution,
-    per_dimension_instances,
 )
 from .kthreshold import ThresholdCover
 from .threshold import (
     CreationSequence,
     RecognitionFailure,
     complement_sequence,
+    creation_sequence_to_graph,
     enumerate_mis,
 )
 
@@ -47,7 +48,7 @@ def _guard(n, limit, what):
 def independence_table(g):
     """bytearray over all 2^n vertex masks; 1 where the mask is independent."""
     _guard(g.n, 24, "subset table")
-    adjm = adjacency_masks(g)
+    adjm = g.masks
     tab = bytearray(1 << g.n)
     tab[0] = 1
     for m in range(1, 1 << g.n):
@@ -66,7 +67,7 @@ def brute_independent_sets(g):
 
 def _maximal_independent_masks(g):
     tab = independence_table(g)
-    adjm = adjacency_masks(g)
+    adjm = g.masks
     full = (1 << g.n) - 1
     out = []
     for m in range(1, 1 << g.n):
@@ -119,7 +120,7 @@ def brute_count_independent_sets(g):
     vertex with memoization on the remaining-vertex mask.  Handles larger n
     than the subset table when the graph is dense."""
     _guard(g.n, 30, "independent-set counting")
-    adjm = adjacency_masks(g)
+    adjm = g.masks
     memo = {0: 0}
 
     def count(rem):
@@ -437,7 +438,7 @@ def brute_dbp_opt(size_vectors):
 
 def reference_forbidden_witness(g):
     """Search 4-subsets for an induced 2K2, P4, or C4.  O(n^4)."""
-    adj = adjacency_masks(g)
+    adj = g.masks
     for quad in combinations(range(1, g.n + 1), 4):
         qm = 0
         for v in quad:
@@ -458,7 +459,7 @@ def reference_recognize_threshold(g, want_witness=False):
     (O(n^2) mask operations); the first 4-subset scan gives the witness."""
     if g.n == 0:
         raise ValueError("the empty graph has no creation sequence")
-    adj = list(adjacency_masks(g))
+    adj = list(g.masks)
     remaining = (1 << g.n) - 1
     order = []
     rec_bits = []
@@ -502,7 +503,7 @@ def reference_recognize_threshold(g, want_witness=False):
 
 def reference_split_witness(g):
     """Induced 2K2 or C4 on a 4-subset, else C5 on a 5-subset.  O(n^5)."""
-    adj = adjacency_masks(g)
+    adj = g.masks
     for quad in combinations(range(1, g.n + 1), 4):
         qm = 0
         for v in quad:
@@ -621,6 +622,22 @@ def reference_conflict_graph_dkp(inst):
     return Graph(n, frozenset(edges))
 
 
+def per_dimension_instances(inst):
+    """One KpInstance per dimension of a d-dimensional instance."""
+    out = []
+    for i in range(inst.d):
+        items = tuple(
+            KpItem(it.id, it.profit, it.sizes[i]) for it in inst.items
+        )
+        out.append(KpInstance(items, inst.capacities[i]))
+    return out
+
+
+def member_graphs(cover):
+    """The graphs of a cover's creation sequences, one per member."""
+    return tuple(creation_sequence_to_graph(cs) for cs in cover.members)
+
+
 def reference_conflict_cover_dkp(inst):
     members = tuple(
         _recognized(reference_conflict_graph_kp(sub))
@@ -736,3 +753,49 @@ def reference_threshold_to_kp(cs, profits=None):
         for v in range(1, cs.n + 1)
     )
     return KpInstance(items, Fraction(c))
+
+
+def reference_parse_graph(text):
+    """Parse the text graph format: `p <n> <m>` then m lines `e <u> <v>`, u < v.
+
+    Blank lines and lines starting with '#' are ignored.
+    """
+    n = None
+    m = None
+    edges = []
+    for lineno, line in content_lines(text):
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError("duplicate header", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("header must be `p <n> <m>`", lineno)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("non-integer header fields", lineno) from None
+            if n < 0 or m < 0:
+                raise GraphFormatError("negative header fields", lineno)
+        elif parts[0] == "e":
+            if n is None:
+                raise GraphFormatError("edge before header", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("edge must be `e <u> <v>`", lineno)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("non-integer edge endpoints", lineno) from None
+            if not (1 <= u < v <= n):
+                raise GraphFormatError(
+                    f"edge endpoints must satisfy 1 <= u < v <= {n}, got {u} {v}", lineno
+                )
+            edges.append((u, v))
+        else:
+            raise GraphFormatError(f"unknown record `{parts[0]}`", lineno)
+    if n is None:
+        raise GraphFormatError("missing `p <n> <m>` header")
+    if m != len(edges):
+        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
+    if len(set(edges)) != len(edges):
+        raise GraphFormatError("duplicate edge lines")
+    return Graph(n, frozenset(edges))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .graphs import (
     ContractError,
-    adjacency_masks,
     canonical_family,
     is_maximal_independent,
     mask_of,
@@ -86,7 +85,7 @@ def recognize_split(g, want_witness=False):
     d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, the graph splits exactly
     when sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.  The top-m vertices then
     form the clique side."""
-    adj = adjacency_masks(g)
+    adj = g.masks
     degs = sorted(
         ((mask.bit_count(), -v) for v, mask in enumerate(adj, start=1)), reverse=True
     )  # ties: smaller vertex index first
@@ -112,7 +111,7 @@ def _validate_partition(g, p):
     sm = mask_of(p.S)
     if km & sm or (km | sm) != (1 << g.n) - 1:
         raise ContractError("K and S must partition the vertex set")
-    adj = adjacency_masks(g)
+    adj = g.masks
     for v in p.K:
         if (adj[v - 1] & km) != km & ~(1 << (v - 1)):
             raise ContractError(f"K is not a clique: vertex {v}")
@@ -131,7 +130,7 @@ def normalize_partition(g, p):
     movable vertex, since K was one short of a maximum clique.
     """
     _validate_partition(g, p)
-    adj = adjacency_masks(g)
+    adj = g.masks
     km = mask_of(p.K)
     movable = [x for x in p.S if (adj[x - 1] & km) == km]
     if movable:
@@ -149,7 +148,7 @@ def normalize_partition(g, p):
 
 def _require_normalized(g, p):
     _validate_partition(g, p)
-    adj = adjacency_masks(g)
+    adj = g.masks
     km = mask_of(p.K)
     for x in p.S:
         if (adj[x - 1] & km) == km:
@@ -164,7 +163,7 @@ def enumerate_mis_split(g, p):
     contributes its non-neighbors in S plus v; S itself appears only when K
     has no loner.  Emissions are guarded for maximality and deduplicated."""
     _require_normalized(g, p)
-    adj = adjacency_masks(g)
+    adj = g.masks
     sm = mask_of(p.S)
     loners = [v for v in p.K if not (adj[v - 1] & sm)]
     out = []
@@ -186,7 +185,7 @@ def count_mis_split(g, p):
     _require_normalized(g, p)
     if g.n == 0:
         return 0
-    adj = adjacency_masks(g)
+    adj = g.masks
     sm = mask_of(p.S)
     loners = any(not (adj[v - 1] & sm) for v in p.K)
     return len(p.K) + (0 if loners else 1)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .graphs import (
     CapacityError,
-    Graph,
-    adjacency_masks,
     canonical_family,
     content_lines,
+    graph_from_masks,
     mask_of,
     set_of_mask,
 )
@@ -73,13 +72,7 @@ class SplitPartition:
 
 
 def creation_sequence_to_graph(cs):
-    edges = []
-    vmap = cs.vmap
-    for j in range(1, cs.n):
-        if cs.bits[j] == "1":
-            vj = vmap[j]
-            edges.extend((vi, vj) if vi < vj else (vj, vi) for vi in vmap[:j])
-    return Graph(cs.n, frozenset(edges))
+    return graph_from_masks(sequence_masks(cs))
 
 
 def sequence_masks(cs):
@@ -139,7 +132,7 @@ def recognize_threshold(g, want_witness=False):
     Returns a CreationSequence whose graph equals g, or a RecognitionFailure
     whose witness, when asked for, is read off the vertices left unpeeled.
     """
-    return _recognize(adjacency_masks(g), want_witness)
+    return _recognize(g.masks, want_witness)
 
 
 def _recognize(adj, want_witness=False):

@@ -7,7 +7,8 @@ as the peel that recounted every degree, and witnesses that induce the
 forbidden subgraph they name, on threshold graphs with and without a
 flipped pair, G(n, p), planted cycles and complements.  Covers: the
 per-candidate maximality test gives the families the pairwise subset
-filter gave."""
+filter gave.  Parsing: the mask-filling parser gives the reference parser's
+Graph, or its exception class and message, on valid and mutated files."""
 import random
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from threshknap.graphs import (
     adjacency_masks,
     clique_number,
     complement,
+    parse_graph,
     induced_subgraph,
     is_clique,
     is_independent_set,
@@ -43,7 +45,6 @@ from threshknap.knapsack import (
     conflict_graph_kp,
     dbp_lower_bound,
     dvp_lower_bound,
-    per_dimension_instances,
     solve_dkp_equivalent,
     solve_kp_equivalent,
 )
@@ -233,7 +234,9 @@ def test_check_dkp_matches_reference(inst):
     assert conflict_graph_dkp(inst) == oracle.reference_conflict_graph_dkp(inst)
     if inst.n:
         cover = conflict_cover_dkp(inst)
-        assert cover.member_graphs == oracle.reference_conflict_cover_dkp(inst).member_graphs
+        assert oracle.member_graphs(cover) == oracle.member_graphs(
+            oracle.reference_conflict_cover_dkp(inst)
+        )
 
 
 @given(dkp_instances())
@@ -260,7 +263,7 @@ def test_packing_bounds_match_reference(inst):
     )
     refs = [
         oracle.reference_check_equivalence_kp(sub)
-        for sub in per_dimension_instances(unit)
+        for sub in oracle.per_dimension_instances(unit)
     ]
     failing = [i for i, rep in enumerate(refs, start=1) if not rep.equivalent]
     for bound in (dvp_lower_bound, dbp_lower_bound):
@@ -488,3 +491,70 @@ def test_maximality_test_matches_oracle_on_every_subset_up_to_8(seed):
     maximal = set(oracle._maximal_independent_masks(g))
     for m in range(1 << g.n):
         assert is_maximal_independent(adj, m) == (m in maximal)
+
+
+# --- graph parsing --------------------------------------------------------------
+
+
+MUTATIONS = (
+    "duplicate",  # repeat an edge line and count it in the header
+    "duplicate_uncounted",  # repeat an edge line, header unchanged
+    "out_of_range",
+    "edge_before_header",
+    "bad_header",
+    "repeated_header",
+    "comments",
+)
+
+
+@st.composite
+def graph_files(draw):
+    """A valid graph file, then up to three mutations applied in turn."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = draw(st.permutations(edges))
+    m = len(edges)
+    lines = [f"e {u} {v}" for u, v in edges]
+    header = f"p {n} {m}"
+    at = st.integers(min_value=0, max_value=len(lines) + 3)
+    late_header = False
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        edge_lines = [line for line in lines if line.startswith("e ")]
+        if mutation.startswith("duplicate") and edge_lines:
+            lines.insert(draw(at), draw(st.sampled_from(edge_lines)))
+            if mutation == "duplicate":
+                m += 1
+                header = f"p {n} {m}"
+        elif mutation == "out_of_range":
+            end = st.integers(min_value=-1, max_value=n + 2)
+            lines.insert(draw(at), f"e {draw(end)} {draw(end)}")
+        elif mutation == "edge_before_header":
+            late_header = True
+        elif mutation == "bad_header":
+            header = draw(st.sampled_from([
+                "p", f"p {n}", f"p {n} x", f"p -1 {m}", f"p {n} -1", f"p {n} {m} 0", f"p {n + 1} {m}",
+            ]))
+        elif mutation == "repeated_header":
+            lines.insert(draw(at), header)
+        elif mutation == "comments":
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                lines.insert(draw(at), draw(st.sampled_from(["", "  ", "# note", "   # e 1 2"])))
+    position = 0
+    if late_header and lines:
+        position = draw(st.integers(min_value=1, max_value=len(lines)))
+    lines.insert(position, header)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@given(graph_files())
+@settings(max_examples=400, deadline=None)
+def test_parse_graph_matches_reference(text):
+    assert parsed(parse_graph, text) == parsed(oracle.reference_parse_graph, text)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,8 @@ from threshknap.graphs import (
     set_of_mask,
     union_graphs,
 )
+from threshknap.split import recognize_split
+from threshknap.threshold import recognize_threshold
 
 PAW = Graph.from_edges(4, [(1, 2), (1, 4), (2, 4), (3, 4)])
 
@@ -144,6 +149,9 @@ def test_parse_graph_ignores_blanks_and_comments():
         ("p 3 2\ne 1 2\ne 1 2\n", "duplicate edge"),
         ("p 3 1\nq 1 2\n", "unknown record"),
         ("", "missing"),
+        # a huge header fails on the bad line, before any per-vertex list
+        ("p 10000000000000 1\ne 1 2\nz\n", "line 3: unknown record"),
+        ("p 10000000000000 2\ne 1 2\ne 1 2\n", "duplicate edge"),
     ],
 )
 def test_parse_graph_errors(text, fragment):
@@ -173,3 +181,24 @@ def test_clique_number_matches_oracle(g):
 def test_maximal_cliques_known_paw():
     assert maximal_cliques(PAW) == [(3, 4), (1, 2, 4)]
     assert clique_number(PAW) == 3
+
+
+def test_graph_is_its_masks_and_builds_edges_on_read():
+    g = parse_graph("p 4 3\ne 3 4\ne 1 4\ne 1 2\n")
+    assert g.masks == (0b1010, 0b0001, 0b1000, 0b0101)
+    assert "edges" not in vars(g)
+    assert format_graph(g) == "p 4 3\ne 1 2\ne 1 4\ne 3 4\n"
+    assert "edges" not in vars(g)
+    assert g.edges == frozenset({(1, 2), (1, 4), (3, 4)})
+    assert g == Graph(4, [(1, 2), (3, 4), (1, 4)]) and hash(g) == hash(Graph.from_edges(4, g.edges))
+
+
+def test_library_keeps_no_reference_to_a_graph():
+    g = parse_graph("p 5 4\ne 1 2\ne 1 3\ne 1 4\ne 2 3\n")
+    recognize_threshold(g)
+    recognize_split(g)
+    maximal_cliques(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

@@ -29,7 +29,6 @@ from threshknap.knapsack import (
     format_report,
     format_solution,
     parse_instance,
-    per_dimension_instances,
     rational,
     solve_dkp_equivalent,
     solve_kp_equivalent,
@@ -227,14 +226,14 @@ def test_conflict_graph_is_always_threshold(seed):
 
 def test_dkp_conflict_union_and_cover():
     inst = dkp([[3, 1, 2, 4, 5], [5, 5, 5, 1, 1]], [5, 5])
-    per = per_dimension_instances(inst)
+    per = oracle.per_dimension_instances(inst)
     assert len(per) == 2
     assert all(isinstance(p, KpInstance) for p in per)
     union = conflict_graph_dkp(inst)
     assert union.m == 10  # K5
     cover = conflict_cover_dkp(inst)
     assert cover.covered == union
-    for member, sub in zip(cover.member_graphs, per):
+    for member, sub in zip(oracle.member_graphs(cover), per):
         assert member == conflict_graph_kp(sub)
 
 
