@@ -2,7 +2,8 @@
 
 Exit status conventions: 0 on success, 1 on a semantic negative (input graph
 is not threshold/split, instance not equivalent to its conflict graph), 2 on
-malformed input.  Output is line-oriented and stable for fixed inputs.
+malformed input, 3 on an internal error (one `error: internal:` line on
+stderr, no traceback).  Output is line-oriented and stable for fixed inputs.
 """
 from __future__ import annotations
 
@@ -14,9 +15,6 @@ from functools import cache
 
 from .graphs import content_lines, format_graph, parse_graph
 from .knapsack import (
-    BpInstance,
-    DkpInstance,
-    DkpItem,
     KpInstance,
     KpItem,
     NotEquivalentError,
@@ -206,27 +204,13 @@ def _cmd_solve(args):
     return 0
 
 
-def _as_dkp(inst):
-    if isinstance(inst, DkpInstance):
-        return inst
-    items = tuple(DkpItem(it.id, it.profit, (it.size,)) for it in inst.items)
-    return DkpInstance(items, (inst.capacity,))
+_BOUND = {"bp": bp_lower_bound, "dvp": dvp_lower_bound, "dbp": dbp_lower_bound}
 
 
 def _cmd_bound(args):
     inst = parse_instance(_read(args.file))
     try:
-        if args.kind == "bp":
-            dkp = _as_dkp(inst)
-            if dkp.d != 1:
-                raise ValueError("bp bound expects a one-dimensional instance")
-            if dkp.capacities[0] != 1:
-                raise ValueError("bp bound expects capacity 1")
-            val = bp_lower_bound(BpInstance(tuple(it.sizes[0] for it in dkp.items)))
-        elif args.kind == "dvp":
-            val = dvp_lower_bound(_as_dkp(inst))
-        else:
-            val = dbp_lower_bound(_as_dkp(inst))
+        val = _BOUND[args.kind](inst)  # each reads the instance's rows
     except NotEquivalentError as e:
         sys.stdout.write(format_report(e.report))
         return 1
@@ -330,6 +314,10 @@ def main(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of the program, not of the input
+        message = " ".join(str(e).splitlines())
+        print(f"error: internal: {type(e).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@ pairwise-compatibility characterization of when the conflict graph carries
 full feasibility information, exact solvers for such instances, and packing
 lower bounds derived from clique numbers.
 
-All sizes, profits and capacities are Fractions parsed from decimal strings;
+An instance is its exact integer rows: per dimension the sizes and the
+capacity times the lcm of their reduced denominators, and the profits times
+theirs.  Numbers are parsed straight to integer pairs; Fractions appear only
+in the `items`/`capacity`/`capacities` views and in solution totals, and
 every comparison against a capacity is exact.  The conflict graph of a
 one-dimensional instance joins two items when they cannot share the knapsack;
 it is always a threshold graph, which is what makes the solvers polynomial.
@@ -15,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .graphs import Graph, _cliques, format_graph
@@ -85,6 +88,46 @@ def _bound_exponent(text):
         )
 
 
+def _numeral(value):
+    """Reduced (numerator, denominator) of an instance number.  Strings of
+    ASCII digits, alone or as `a/b` with b nonzero, are converted by int()
+    and reduced by one gcd; everything else goes through `rational`, so
+    every accepted value and every error message is the same."""
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                a = int(num)
+                b = int(den) if slash else 1
+            except ValueError:  # more digits than int() may convert
+                pass
+            else:
+                if b == 1:
+                    return a, 1
+                if b:
+                    g = gcd(a, b)
+                    return a // g, b // g
+    q = rational(value)
+    return q.numerator, q.denominator
+
+
+def _numerals(values):
+    """Reduced numerators and denominators of instance numbers, as two lists
+    in order; the first bad value raises as `_numeral` does.  A list of
+    ASCII digit strings converts in bulk."""
+    try:
+        digits = "".join(values)
+    except TypeError:  # a value that is not a string
+        digits = ""
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, values)), [1] * len(values)
+        except ValueError:  # an empty string, or more digits than int() may convert
+            pass
+    pairs = [_numeral(v) for v in values]
+    return [num for num, _ in pairs], [den for _, den in pairs]
+
+
 def format_rational(q):
     """Decimal string when the denominator divides a power of ten, else p/q."""
     q = Fraction(q)
@@ -126,23 +169,6 @@ class KpItem:
 
 
 @dataclass(frozen=True)
-class KpInstance:
-    items: tuple
-    capacity: Fraction
-
-    def __post_init__(self):
-        if self.capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate item ids")
-
-    @property
-    def n(self):
-        return len(self.items)
-
-
-@dataclass(frozen=True)
 class DkpItem:
     id: str
     profit: Fraction
@@ -155,31 +181,148 @@ class DkpItem:
             raise ValueError(f"item {self.id}: profit and sizes must be non-negative")
 
 
-@dataclass(frozen=True)
-class DkpInstance:
-    items: tuple
-    capacities: tuple
+def _scaled(nums, dens):
+    """Exact integers proportional to the reduced fractions nums[k]/dens[k],
+    and the lcm of the denominators that they were multiplied by."""
+    scale = lcm(*set(dens))
+    if scale == 1:
+        return list(nums), 1
+    return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
-    def __post_init__(self):
-        if len(self.capacities) < 1:
-            raise ValueError("at least one dimension required")
-        if any(c < 0 for c in self.capacities):
-            raise ValueError("capacities must be non-negative")
-        d = len(self.capacities)
-        for it in self.items:
-            if len(it.sizes) != d:
-                raise ValueError(f"item {it.id}: expected {d} sizes, got {len(it.sizes)}")
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate item ids")
+
+def _int_row(nums, dens):
+    """(sizes, capacity, scale) from the reduced fractions nums[k]/dens[k],
+    the last of them the capacity: all times `scale`, the lcm of their
+    denominators."""
+    ints, scale = _scaled(nums, dens)
+    cap = ints.pop()
+    return tuple(ints), cap, scale
+
+
+def _parts(values):
+    """Numerators and denominators of a list of ints or Fractions."""
+    return [q.numerator for q in values], [q.denominator for q in values]
+
+
+def _unique(ids):
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate item ids")
+
+
+@dataclass(frozen=True, init=False)
+class _Instance:
+    """Knapsack items as exact integer rows.  `ids` names the items in
+    order; `profits` are their profits times `pscale`, the lcm of the
+    profits' reduced denominators; `rows` holds one (sizes, capacity, scale)
+    per dimension, the sizes and capacity times that dimension's lcm
+    `scale`.  The scales are canonical, so equality and hash by rows are
+    equality of the rational values.  Parsing builds the rows directly;
+    the Fraction views (`items`, `capacity`, `capacities`) are built on
+    first access and never re-validated."""
+
+    ids: tuple
+    profits: tuple
+    pscale: int
+    rows: tuple
 
     @property
     def n(self):
-        return len(self.items)
+        return len(self.ids)
+
+
+def _fill(inst, ids, profits, pscale, rows):
+    object.__setattr__(inst, "ids", ids)
+    object.__setattr__(inst, "profits", profits)
+    object.__setattr__(inst, "pscale", pscale)
+    object.__setattr__(inst, "rows", rows)
+    return inst
+
+
+def _from_rows(cls, ids, profits, pscale, rows):
+    """The instance of class `cls` holding these rows, taken as checked."""
+    return _fill(object.__new__(cls), ids, profits, pscale, rows)
+
+
+def _views(cls, fields, rows):
+    """One item of class `cls` per tuple of `fields` values in `rows`,
+    built without re-validating values an instance already holds.  Each
+    goes through `cls.__new__`, so a class that refuses construction
+    refuses this too."""
+    items = []
+    for values in rows:
+        item = cls.__new__(cls)
+        item.__dict__.update(zip(fields, values))
+        items.append(item)
+    return tuple(items)
+
+
+class KpInstance(_Instance):
+    """One knapsack row.  `KpInstance(items, capacity)` checks the capacity
+    and the ids; each KpItem checked its own values."""
+
+    def __init__(self, items, capacity):
+        items = tuple(items)
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
+        ids = tuple(it.id for it in items)
+        _unique(ids)
+        profits, pscale = _scaled(*_parts([it.profit for it in items]))
+        row = _int_row(*_parts([*(it.size for it in items), capacity]))
+        _fill(self, ids, tuple(profits), pscale, (row,))
+
+    @cached_property
+    def items(self):
+        (sizes, _, scale), = self.rows
+        return _views(KpItem, ("id", "profit", "size"), (
+            (i, Fraction(p, self.pscale), Fraction(s, scale))
+            for i, p, s in zip(self.ids, self.profits, sizes)
+        ))
+
+    @cached_property
+    def capacity(self):
+        (_, cap, scale), = self.rows
+        return Fraction(cap, scale)
+
+
+class DkpInstance(_Instance):
+    """Several knapsack rows over the same items.  `DkpInstance(items,
+    capacities)` checks the dimension count, the capacities, each item's
+    size count and the ids; each DkpItem checked its own values."""
+
+    def __init__(self, items, capacities):
+        items, capacities = tuple(items), tuple(capacities)
+        if len(capacities) < 1:
+            raise ValueError("at least one dimension required")
+        if any(c < 0 for c in capacities):
+            raise ValueError("capacities must be non-negative")
+        d = len(capacities)
+        for it in items:
+            if len(it.sizes) != d:
+                raise ValueError(f"item {it.id}: expected {d} sizes, got {len(it.sizes)}")
+        ids = tuple(it.id for it in items)
+        _unique(ids)
+        profits, pscale = _scaled(*_parts([it.profit for it in items]))
+        rows = tuple(
+            _int_row(*_parts([*(it.sizes[i] for it in items), c]))
+            for i, c in enumerate(capacities)
+        )
+        _fill(self, ids, tuple(profits), pscale, rows)
 
     @property
     def d(self):
-        return len(self.capacities)
+        return len(self.rows)
+
+    @cached_property
+    def items(self):
+        columns = [[Fraction(s, scale) for s in sizes] for sizes, _, scale in self.rows]
+        return _views(DkpItem, ("id", "profit", "sizes"), (
+            (i, Fraction(p, self.pscale), tuple(sizes))
+            for i, p, *sizes in zip(self.ids, self.profits, *columns)
+        ))
+
+    @cached_property
+    def capacities(self):
+        return tuple(Fraction(cap, scale) for _, cap, scale in self.rows)
 
 
 @dataclass(frozen=True)
@@ -228,7 +371,14 @@ class EquivalenceReport:
 
 def parse_instance(text):
     """KpInstance when the JSON uses singular capacity/size, DkpInstance for
-    the plural forms (a one-element capacities list stays multi-dimensional)."""
+    the plural forms (a one-element capacities list stays multi-dimensional).
+    One pass over the entries collects the raw numbers; they convert to
+    integers in bulk and are checked and scaled into rows, with no Fraction
+    and no item object.  A file with several faults reports the first in
+    this order: the JSON shape; each entry's fields and numbers in file
+    order; the capacities; per item its size count (one row), id and signs;
+    then the capacities' count and signs and the size counts (several
+    rows); then the ids' uniqueness."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -243,70 +393,108 @@ def parse_instance(text):
     if not isinstance(raw_items, list):
         raise InstanceFormatError("items must be a list")
 
-    def item_sizes(entry):
-        if ("size" in entry) == ("sizes" in entry):
-            raise InstanceFormatError(
-                f"item {entry.get('id')!r}: exactly one of size/sizes required"
-            )
-        if "size" in entry:
-            return [rational(entry["size"])]
-        if not isinstance(entry["sizes"], list):
-            raise InstanceFormatError(f"item {entry.get('id')!r}: sizes must be a list")
-        return [rational(s) for s in entry["sizes"]]
+    ids, values, counts = [], [], []  # values: each entry's profit, then its sizes
 
-    parsed = []
+    def fault(message):
+        _numerals(values)  # a bad number earlier in the file comes first
+        raise InstanceFormatError(message)
+
     for entry in raw_items:
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise InstanceFormatError("each item needs a string id")
+            fault("each item needs a string id")
         if "profit" not in entry:
-            raise InstanceFormatError(f"item {entry['id']!r}: missing profit")
-        parsed.append((entry["id"], rational(entry["profit"]), item_sizes(entry)))
+            fault(f"item {entry['id']!r}: missing profit")
+        ids.append(entry["id"])
+        values.append(entry["profit"])
+        if ("size" in entry) == ("sizes" in entry):
+            fault(f"item {entry['id']!r}: exactly one of size/sizes required")
+        if "size" in entry:
+            values.append(entry["size"])
+            counts.append(1)
+        elif isinstance(entry["sizes"], list):
+            values += entry["sizes"]
+            counts.append(len(entry["sizes"]))
+        else:
+            fault(f"item {entry['id']!r}: sizes must be a list")
+    nums, dens = _numerals(values)
     try:
         if "capacity" in obj:
-            cap = rational(obj["capacity"])
-            items = []
-            for iid, profit, sizes in parsed:
-                if len(sizes) != 1:
-                    raise InstanceFormatError(
-                        f"item {iid!r}: one size expected for a one-dimensional instance"
-                    )
-                items.append(KpItem(iid, profit, sizes[0]))
-            return KpInstance(tuple(items), cap)
-        raw_caps = obj["capacities"]
-        if not isinstance(raw_caps, list):
-            raise InstanceFormatError("capacities must be a list")
-        caps = tuple(rational(c) for c in raw_caps)
-        items = tuple(DkpItem(iid, profit, tuple(sizes)) for iid, profit, sizes in parsed)
-        return DkpInstance(items, caps)
+            cls, caps = KpInstance, [_numeral(obj["capacity"])]
+            if counts.count(1) != len(counts) or not all(ids) or min(nums, default=0) < 0:
+                _item_fault(ids, nums, counts, one_row=True)
+            if caps[0][0] < 0:
+                raise ValueError("capacity must be non-negative")
+        else:
+            raw_caps = obj["capacities"]
+            if not isinstance(raw_caps, list):
+                raise InstanceFormatError("capacities must be a list")
+            cls, caps = DkpInstance, [_numeral(c) for c in raw_caps]
+            if not all(ids) or min(nums, default=0) < 0:
+                _item_fault(ids, nums, counts, one_row=False)
+            if not caps:
+                raise ValueError("at least one dimension required")
+            if any(num < 0 for num, _ in caps):
+                raise ValueError("capacities must be non-negative")
+            d = len(caps)
+            for iid, count in zip(ids, counts):
+                if count != d:
+                    raise ValueError(f"item {iid}: expected {d} sizes, got {count}")
+        _unique(ids)
     except ValueError as e:
         if isinstance(e, InstanceFormatError):
             raise
         raise InstanceFormatError(str(e)) from None
+    # every item now has len(caps) sizes: values run profit, sizes, profit, ...
+    step = len(caps) + 1
+    profits, pscale = _scaled(nums[::step], dens[::step])
+    rows = tuple(
+        _int_row([*nums[i::step], num], [*dens[i::step], den])
+        for i, (num, den) in enumerate(caps, start=1)
+    )
+    return _from_rows(cls, tuple(ids), tuple(profits), pscale, rows)
+
+
+def _item_fault(ids, nums, counts, one_row):
+    """Raise the first item fault in file order: a size count other than
+    one (one row only), an empty id, a negative profit or size."""
+    start = 0
+    for iid, count in zip(ids, counts):
+        profit, sizes = nums[start], nums[start + 1 : start + 1 + count]
+        start += 1 + count
+        if one_row and count != 1:
+            raise InstanceFormatError(
+                f"item {iid!r}: one size expected for a one-dimensional instance"
+            )
+        if not iid:
+            raise ValueError("item id must be nonempty")
+        if profit < 0 or any(s < 0 for s in sizes):
+            what = "size" if one_row else "sizes"
+            raise ValueError(f"item {iid}: profit and {what} must be non-negative")
+
+
+def _format_scaled(num, scale):
+    """format_rational(num / scale), without a Fraction for integers."""
+    return str(num) if scale == 1 else format_rational(Fraction(num, scale))
 
 
 def format_instance(inst):
+    profits = [_format_scaled(p, inst.pscale) for p in inst.profits]
+    columns = [[_format_scaled(s, scale) for s in sizes] for sizes, _, scale in inst.rows]
+    caps = [_format_scaled(cap, scale) for _, cap, scale in inst.rows]
     if isinstance(inst, KpInstance):
         obj = {
-            "capacity": format_rational(inst.capacity),
+            "capacity": caps[0],
             "items": [
-                {
-                    "id": it.id,
-                    "profit": format_rational(it.profit),
-                    "size": format_rational(it.size),
-                }
-                for it in inst.items
+                {"id": i, "profit": p, "size": s}
+                for i, p, s in zip(inst.ids, profits, columns[0])
             ],
         }
     else:
         obj = {
-            "capacities": [format_rational(c) for c in inst.capacities],
+            "capacities": caps,
             "items": [
-                {
-                    "id": it.id,
-                    "profit": format_rational(it.profit),
-                    "sizes": [format_rational(s) for s in it.sizes],
-                }
-                for it in inst.items
+                {"id": i, "profit": p, "sizes": sizes}
+                for i, p, *sizes in zip(inst.ids, profits, *columns)
             ],
         }
     return json.dumps(obj, indent=2) + "\n"
@@ -337,42 +525,34 @@ def format_report(rep):
 _NO_ITEMS = Graph(0, ())
 
 
-def _integers(values):
-    """Exact integers proportional to the rationals `values`, and the lcm of
-    their denominators that they were multiplied by."""
-    scale = lcm(*{v.denominator for v in values})
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 class _Row(NamedTuple):
     """One knapsack row on integers: sizes and capacity multiplied by
     `scale`, plus the conflict graph's creation sequence (None without
     items)."""
 
-    sizes: list
+    sizes: tuple
     capacity: int
     scale: int
     sequence: CreationSequence | None
 
 
-def _row(sizes, capacity):
+def _row(sizes, capacity, scale):
     """The core of every one-row path, O(n log n).  Items sorted by
     (size, index) are peeled with two pointers: the smallest remaining item
     fits beside every other one when it fits beside the largest, so it is
     isolated (bit 0); otherwise the largest conflicts with every other one,
     so it is dominating (bit 1); the last item takes bit 1.  The peel read
     backwards is a creation sequence of the conflict graph, found without
-    listing an edge."""
-    ints, scale = _integers([*sizes, capacity])
-    cap = ints.pop()
-    n = len(ints)
+    listing an edge.  `sizes`, `capacity` and `scale` are an instance
+    row."""
+    n = len(sizes)
     if not n:
-        return _Row(ints, cap, scale, None)
-    order = sorted(range(n), key=ints.__getitem__)
+        return _Row(sizes, capacity, scale, None)
+    order = sorted(range(n), key=sizes.__getitem__)
     lo, hi = 0, n - 1
     bits, peeled = [], []
     while lo < hi:
-        if ints[order[lo]] + ints[order[hi]] <= cap:
+        if sizes[order[lo]] + sizes[order[hi]] <= capacity:
             bits.append("0")
             peeled.append(order[lo] + 1)
             lo += 1
@@ -383,7 +563,7 @@ def _row(sizes, capacity):
     bits.append("1")
     peeled.append(order[lo] + 1)
     cs = CreationSequence("".join(reversed(bits)), tuple(reversed(peeled)))
-    return _Row(ints, cap, scale, cs)
+    return _Row(sizes, capacity, scale, cs)
 
 
 def _mis_walk(cs, weights):
@@ -445,7 +625,7 @@ def conflict_graph_kp(inst):
     """Items as vertices; an edge whenever two items overfill the knapsack
     together (strict comparison).  Built from the core's creation
     sequence."""
-    cs = _row([it.size for it in inst.items], inst.capacity).sequence
+    cs = _row(*inst.rows[0]).sequence
     return creation_sequence_to_graph(cs) if cs else _NO_ITEMS
 
 
@@ -454,8 +634,7 @@ def check_equivalence_kp(inst):
     enough: feasibility is downward closed and every independent set extends
     to a maximal one.  On failure the witness is a pairwise-compatible but
     oversized item set, shrunk to a minimal one.  O(n log n)."""
-    row = _row([it.size for it in inst.items], inst.capacity)
-    return _check_row([it.id for it in inst.items], row)
+    return _check_row(inst.ids, _row(*inst.rows[0]))
 
 
 def solve_kp_equivalent(inst):
@@ -463,15 +642,13 @@ def solve_kp_equivalent(inst):
     the empty set; exact rational profit.  Ties go to fewer items, then
     smaller indices; among sets of one size that is the smallest v(i), as in
     the check.  O(n log n) plus the chosen set."""
-    ids = [it.id for it in inst.items]
-    row = _row([it.size for it in inst.items], inst.capacity)
-    rep = _check_row(ids, row)
+    row = _row(*inst.rows[0])
+    rep = _check_row(inst.ids, row)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
-    profits, scale = _integers([it.profit for it in inst.items])
     best = None  # (-profit, 0-bit count, item of v(i), position i)
     if row.sequence is not None:
-        for i, zeros, j, profit in _mis_walk(row.sequence, profits):
+        for i, zeros, j, profit in _mis_walk(row.sequence, inst.profits):
             key = (-profit, zeros, j, i)
             if profit > 0 and (best is None or key < best):
                 best = key
@@ -479,8 +656,8 @@ def solve_kp_equivalent(inst):
     profit = -best[0] if best else 0
     total = sum(row.sizes[j] for j in chosen)
     return Solution(
-        tuple(ids[j] for j in chosen),
-        Fraction(profit, scale),
+        tuple(inst.ids[j] for j in chosen),
+        Fraction(profit, inst.pscale),
         (Fraction(total, row.scale),),
     )
 
@@ -490,10 +667,7 @@ def solve_kp_equivalent(inst):
 
 
 def _dimension_rows(inst):
-    return [
-        _row([it.sizes[i] for it in inst.items], inst.capacities[i])
-        for i in range(inst.d)
-    ]
+    return [_row(*row) for row in inst.rows]
 
 
 def _cover(rows):
@@ -538,9 +712,15 @@ def _check_dkp(inst, rows):
     limits = [(row.sizes, row.capacity) for row in rows]
     for s in fam:
         if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits):
-            weight = {j: sum(inst.items[j].sizes) for j in s}
+            # an item's size summed over dimensions, times the lcm of the
+            # scales: exact, and ordered as the rational sums are
+            common = lcm(*(row.scale for row in rows))
+            factors = [common // row.scale for row in rows]
+            weight = {
+                j: sum(row.sizes[j] * f for row, f in zip(rows, factors)) for j in s
+            }
             small = _shrink_witness(s, weight, limits)
-            ids = tuple(inst.items[j].id for j in small)
+            ids = tuple(inst.ids[j] for j in small)
             return EquivalenceReport(False, conflict, ids), fam
     return EquivalenceReport(True, conflict, None), fam
 
@@ -550,12 +730,13 @@ def check_equivalence_dkp(inst):
 
 
 def _best_candidate(candidates, profits):
-    """Max total profit; ties go to fewer items, then lexicographic indices."""
+    """Max total of the integer `profits`; ties go to fewer items, then
+    lexicographic indices."""
     best = ()
-    best_profit = Fraction(0)
+    best_profit = 0
     best_key = (0, ())
     for cand in candidates:
-        p = sum((profits[j] for j in cand), Fraction(0))
+        p = sum(profits[j] for j in cand)
         key = (len(cand), cand)
         if p > best_profit or (p == best_profit and key < best_key):
             best, best_profit, best_key = cand, p, key
@@ -567,12 +748,13 @@ def solve_dkp_equivalent(inst):
     rep, fam = _check_dkp(inst, rows)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
-    profits = [it.profit for it in inst.items]
-    chosen, profit = _best_candidate(fam + [()], profits)
+    chosen, profit = _best_candidate(fam + [()], inst.profits)
     totals = tuple(
         Fraction(sum(row.sizes[j] for j in chosen), row.scale) for row in rows
     )
-    return Solution(tuple(inst.items[j].id for j in chosen), profit, totals)
+    return Solution(
+        tuple(inst.ids[j] for j in chosen), Fraction(profit, inst.pscale), totals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -583,29 +765,46 @@ def bp_lower_bound(inst):
     """Clique number of the conflict graph of the unit-capacity view; a valid
     bin lower bound because conflicting items need distinct bins.  Refuses
     instances whose conflict graph does not capture feasibility.  The number
-    is the count of 1-bits in the conflict graph's creation sequence."""
-    row = _row(inst.sizes, Fraction(1))
-    rep = _check_row([f"a{j + 1}" for j in range(len(inst.sizes))], row)
+    is the count of 1-bits in the conflict graph's creation sequence.
+
+    `inst` is a BpInstance, or a one-dimensional knapsack instance of
+    capacity 1 whose sizes are the packing sizes.  Either way a refusal's
+    witness names the items a1..an by position."""
+    if isinstance(inst, BpInstance):
+        sizes, scale = _scaled(*_parts(inst.sizes))
+    else:
+        if len(inst.rows) != 1:
+            raise ValueError("bp bound expects a one-dimensional instance")
+        (sizes, cap, scale), = inst.rows
+        if cap != scale:
+            raise ValueError("bp bound expects capacity 1")
+        for s in sizes:
+            if not 0 < s <= scale:
+                raise ValueError(f"sizes must lie in (0, 1], got {Fraction(s, scale)}")
+    row = _row(sizes, scale, scale)
+    rep = _check_row([f"a{j + 1}" for j in range(len(sizes))], row)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
     return row.sequence.bits.count("1") if row.sequence else 0
 
 
 def _require_unit_view(inst):
-    if any(c != 1 for c in inst.capacities):
+    """Every capacity is 1 (capacity == scale in its row) and every size
+    lies in (0, 1] (0 < size <= scale).  The packing bounds read only an
+    instance's rows, so a KpInstance counts as one dimension."""
+    if any(cap != scale for _, cap, scale in inst.rows):
         raise ValueError("packing bounds expect all capacities equal to 1")
-    for it in inst.items:
-        if any(s > 1 for s in it.sizes) or any(s <= 0 for s in it.sizes):
-            raise ValueError(f"item {it.id}: packing sizes must lie in (0, 1]")
+    for j, iid in enumerate(inst.ids):
+        if not all(0 < sizes[j] <= scale for sizes, _, scale in inst.rows):
+            raise ValueError(f"item {iid}: packing sizes must lie in (0, 1]")
 
 
 def _check_dimensions_equivalent(inst):
     """The instance's rows, each checked on its own; a failure names its
     1-based dimension."""
     rows = _dimension_rows(inst)
-    ids = [it.id for it in inst.items]
     for i, row in enumerate(rows, start=1):
-        rep = _check_row(ids, row)
+        rep = _check_row(inst.ids, row)
         if not rep.equivalent:
             raise NotEquivalentError(rep, dimension=i)
     return rows

@@ -9,6 +9,7 @@ Nothing in the library proper depends on this module.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
@@ -24,11 +25,15 @@ from .graphs import (
     set_of_mask,
 )
 from .knapsack import (
+    DkpInstance,
+    DkpItem,
     EquivalenceReport,
+    InstanceFormatError,
     KpInstance,
     KpItem,
     NotEquivalentError,
     Solution,
+    rational,
 )
 from .kthreshold import ThresholdCover
 from .threshold import (
@@ -799,3 +804,63 @@ def reference_parse_graph(text):
     if len(set(edges)) != len(edges):
         raise GraphFormatError("duplicate edge lines")
     return Graph(n, frozenset(edges))
+
+
+def reference_parse_instance(text):
+    """KpInstance when the JSON uses singular capacity/size, DkpInstance for
+    the plural forms (a one-element capacities list stays multi-dimensional).
+    One Fraction per number and one validated item per entry, then the
+    public constructors."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InstanceFormatError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise InstanceFormatError("instance must be a JSON object")
+    if ("capacity" in obj) == ("capacities" in obj):
+        raise InstanceFormatError("exactly one of capacity/capacities required")
+    raw_items = obj.get("items")
+    if not isinstance(raw_items, list):
+        raise InstanceFormatError("items must be a list")
+
+    def item_sizes(entry):
+        if ("size" in entry) == ("sizes" in entry):
+            raise InstanceFormatError(
+                f"item {entry.get('id')!r}: exactly one of size/sizes required"
+            )
+        if "size" in entry:
+            return [rational(entry["size"])]
+        if not isinstance(entry["sizes"], list):
+            raise InstanceFormatError(f"item {entry.get('id')!r}: sizes must be a list")
+        return [rational(s) for s in entry["sizes"]]
+
+    parsed = []
+    for entry in raw_items:
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise InstanceFormatError("each item needs a string id")
+        if "profit" not in entry:
+            raise InstanceFormatError(f"item {entry['id']!r}: missing profit")
+        parsed.append((entry["id"], rational(entry["profit"]), item_sizes(entry)))
+    try:
+        if "capacity" in obj:
+            cap = rational(obj["capacity"])
+            items = []
+            for iid, profit, sizes in parsed:
+                if len(sizes) != 1:
+                    raise InstanceFormatError(
+                        f"item {iid!r}: one size expected for a one-dimensional instance"
+                    )
+                items.append(KpItem(iid, profit, sizes[0]))
+            return KpInstance(tuple(items), cap)
+        raw_caps = obj["capacities"]
+        if not isinstance(raw_caps, list):
+            raise InstanceFormatError("capacities must be a list")
+        caps = tuple(rational(c) for c in raw_caps)
+        items = tuple(DkpItem(iid, profit, tuple(sizes)) for iid, profit, sizes in parsed)
+        return DkpInstance(items, caps)
+    except ValueError as e:
+        if isinstance(e, InstanceFormatError):
+            raise
+        raise InstanceFormatError(str(e)) from None

@@ -375,3 +375,83 @@ def test_bad_json_is_input_error(write, capsys):
     rc, _, err = run(capsys, ["check", write("i.json", "{nope")])
     assert rc == 2
     assert "error:" in err
+
+
+def _row_instances():
+    """An equivalent row of capacity 1: 18 items above 1/2 that conflict
+    pairwise, 20 of size 1/400 that fit beside any of them; the same with
+    a second, conflict-free row; and a row of three pairwise-compatible
+    items that overfill it together, in one and two rows."""
+    sizes = [f"{20 + j}/40" for j in range(1, 19)] + ["1/400"] * 20
+    one = {
+        "capacity": "1",
+        "items": [{"id": f"a{j + 1}", "profit": str(j % 7), "size": s} for j, s in enumerate(sizes)],
+    }
+    two = {
+        "capacities": ["1", "1"],
+        "items": [
+            {"id": f"a{j + 1}", "profit": str(j % 7), "sizes": [s, "1/400"]}
+            for j, s in enumerate(sizes)
+        ],
+    }
+    bad = {"capacity": "10", "items": [{"id": f"b{j}", "profit": "1", "size": "4"} for j in (1, 2, 3)]}
+    bad2 = {
+        "capacities": ["10", "1"],
+        "items": [{"id": f"b{j}", "profit": "1", "sizes": ["4", "1/3"]} for j in (1, 2, 3)],
+    }
+    return one, two, bad, bad2
+
+
+def test_instance_commands_build_no_item_objects_or_per_item_fractions(write, capsys, monkeypatch):
+    # check, solve, bound and kp-to-graph read the parsed instance's
+    # integer rows: KpItem, DkpItem and BpInstance refuse construction, and
+    # Fractions are only made for printed totals, fewer than one per item
+    one, two, bad, bad2 = _row_instances()
+    paths = {name: write(f"{name}.json", json.dumps(obj)) for name, obj in
+             (("one", one), ("two", two), ("bad", bad), ("bad2", bad2))}
+    calls = [
+        (["check", paths["one"]], 0), (["check", paths["two"]], 0),
+        (["check", paths["bad"]], 1), (["check", paths["bad2"]], 1),
+        (["solve", paths["one"]], 0), (["solve", paths["two"]], 0), (["solve", paths["bad"]], 1),
+        (["bound", "bp", paths["one"]], 0), (["bound", "bp", paths["two"]], 2),
+        (["bound", "dvp", paths["one"]], 0), (["bound", "dvp", paths["two"]], 0),
+        (["bound", "dbp", paths["one"]], 0), (["bound", "dbp", paths["two"]], 0),
+        (["convert", "kp-to-graph", paths["one"]], 0),
+    ]
+    plain = [run(capsys, argv) for argv, _ in calls]
+    assert [rc for rc, _, _ in plain] == [code for _, code in calls]
+
+    from fractions import Fraction
+
+    from threshknap import knapsack
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built on an instance path")
+
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for name in ("KpItem", "DkpItem", "BpInstance"):
+        stub = type(name, (), {"__new__": refuse})
+        monkeypatch.setattr(knapsack, name, stub)
+        monkeypatch.setattr(cli, name, stub, raising=False)
+    monkeypatch.setattr(knapsack, "Fraction", CountedFraction)
+    for (argv, _), want in zip(calls, plain):
+        made.clear()
+        assert run(capsys, argv) == want
+        assert len(made) < len(one["items"]) // 4, argv
+
+
+def test_internal_error_exits_3_with_one_stderr_line(write, capsys, monkeypatch):
+    # a fault of the program, not of the input: no traceback, exit 3
+    def broken(inst):
+        raise RuntimeError("lost\ninvariant")
+
+    monkeypatch.setattr(cli, "check_equivalence_kp", broken)
+    path = write("i.json", json.dumps(_row_instances()[0]))
+    rc, out, err = run(capsys, ["check", path])
+    assert (rc, out, err) == (3, "", "error: internal: RuntimeError: lost invariant\n")

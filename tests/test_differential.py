@@ -8,7 +8,11 @@ forbidden subgraph they name, on threshold graphs with and without a
 flipped pair, G(n, p), planted cycles and complements.  Covers: the
 per-candidate maximality test gives the families the pairwise subset
 filter gave.  Parsing: the mask-filling parser gives the reference parser's
-Graph, or its exception class and message, on valid and mutated files."""
+Graph, or its exception class and message, on valid and mutated files; the
+integer-row instance parser gives the Fraction parser's instance and views,
+or its exception class and message, and its numeral fast path gives
+`rational`'s value or error on every string shape."""
+import json
 import random
 import sys
 from fractions import Fraction
@@ -34,9 +38,12 @@ from threshknap.knapsack import (
     BpInstance,
     DkpInstance,
     DkpItem,
+    InstanceFormatError,
     KpInstance,
     KpItem,
     NotEquivalentError,
+    _numeral,
+    _numerals,
     bp_lower_bound,
     check_equivalence_dkp,
     check_equivalence_kp,
@@ -45,6 +52,8 @@ from threshknap.knapsack import (
     conflict_graph_kp,
     dbp_lower_bound,
     dvp_lower_bound,
+    parse_instance,
+    rational,
     solve_dkp_equivalent,
     solve_kp_equivalent,
 )
@@ -558,3 +567,195 @@ def parsed(parse, text):
 @settings(max_examples=400, deadline=None)
 def test_parse_graph_matches_reference(text):
     assert parsed(parse_graph, text) == parsed(oracle.reference_parse_graph, text)
+
+
+# --- instance numbers and files ---------------------------------------------
+
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=8)
+NUMERAL_SHAPES = st.sampled_from([
+    "1.", ".5", "5/0", "0/0", "3/-2", "2/4", "00/07", "\u0663", "1\u0663", "1_000", "1__0",
+    "_1", " 7 ", "\t7/2\n", "-0", "+3", "-3/4", "1e3", "1E-2", "1e999999999", "1.5e3",
+    "/2", "2/", "1/2/3", "", " ", "0x10", "\u00b2", "1/\u0663",
+])
+
+
+@st.composite
+def numerals(draw):
+    """Strings in and around the fast path's `a` and `a/b` forms: signs,
+    leading zeros, `_` separators, whitespace, decimals, exponents (some
+    beyond the digit limit), non-ASCII digits and zero denominators."""
+    kind = draw(st.integers(min_value=0, max_value=4))
+    if kind == 0:
+        return draw(DIGITS)
+    if kind == 1:
+        return f"{draw(DIGITS)}/{draw(DIGITS)}"
+    if kind == 2:
+        return draw(NUMERAL_SHAPES)
+    if kind == 3:
+        return draw(st.text(alphabet="0123456789/+-._eE \u0663", max_size=10))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    body = "_".join(draw(st.lists(DIGITS, min_size=1, max_size=3)))
+    tail = draw(st.sampled_from(["", ".", ".25", f"/{draw(DIGITS)}", "e7", "e-2", "E+1", "e700"]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\n "]))
+    return f"{pad}{sign}{body}{tail}{pad}"
+
+
+def by_rational(value):
+    q = rational(value)
+    return q.numerator, q.denominator
+
+
+def numeral_outcome(convert, value):
+    try:
+        return convert(value)
+    except InstanceFormatError as e:
+        return "error", str(e)
+
+
+@given(st.one_of(
+    numerals(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([True, False, 0.5, None, [], {}]),
+    st.integers(min_value=600, max_value=700).map(lambda k: "7" * k),
+    st.integers(min_value=600, max_value=700).map(lambda k: "3/" + "1" * k),
+))
+@settings(max_examples=1500, deadline=None)
+def test_numeral_matches_rational(value):
+    # the lowest digit limit Python allows, so strings beyond it stay short
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        want = numeral_outcome(by_rational, value)
+        assert numeral_outcome(_numeral, value) == want
+        if want[0] == "error":
+            assert numeral_outcome(_numerals, [value]) == want
+        else:
+            assert numeral_outcome(_numerals, [value]) == ([want[0]], [want[1]])
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@given(st.lists(st.one_of(DIGITS, numerals(), st.just("9" * 700)), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_bulk_numerals_match_one_at_a_time(values):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        try:
+            want = [by_rational(v) for v in values]
+            want = [a for a, _ in want], [b for _, b in want]
+        except InstanceFormatError as e:
+            want = "error", str(e)
+        assert numeral_outcome(_numerals, values) == want
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+INSTANCE_NUMBERS = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.builds("{}/{}".format, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=12)),
+    st.sampled_from(["0.5", "1.25", "3", "1e1", "07", 2, 0]),
+)
+BAD_NUMBERS = st.sampled_from([
+    "-1", "-1/2", "x", "", "1/0", "3/-2", 1.5, True, None, [], {}, -3, "1e999999999",
+])
+INSTANCE_MUTATIONS = (
+    "bad_number", "negative", "faults", "drop_key", "extra_key", "empty_id", "duplicate_id",
+    "id_type", "entry_type", "size_sizes", "sizes_count", "capacity_form", "items_type",
+    "top_type",
+)
+
+
+@st.composite
+def instance_texts(draw):
+    """A valid one- or several-row instance, then up to three mutations:
+    wrong value types, missing or extra keys, negative values, empty and
+    duplicate ids, size/sizes and capacity/capacities mixups, and a
+    negative capacity together with an item fault."""
+    d = draw(st.integers(min_value=0, max_value=3))  # 0: the singular form
+    n = draw(st.integers(min_value=0, max_value=6))
+    items = []
+    for j in range(n):
+        entry = {"id": f"a{j + 1}", "profit": draw(INSTANCE_NUMBERS)}
+        if d:
+            entry["sizes"] = [draw(INSTANCE_NUMBERS) for _ in range(d)]
+        else:
+            entry["size"] = draw(INSTANCE_NUMBERS)
+        items.append(entry)
+    obj = {"items": items}
+    if d:
+        obj["capacities"] = [draw(INSTANCE_NUMBERS) for _ in range(d)]
+    else:
+        obj["capacity"] = draw(INSTANCE_NUMBERS)
+    keys = ("id", "profit", "size", "sizes")
+    mutations = draw(st.lists(st.sampled_from(INSTANCE_MUTATIONS), max_size=3))
+    for mutation in sorted(mutations, key=lambda m: m == "top_type"):
+        entries = [e for e in items if isinstance(e, dict)]
+        entry = draw(st.sampled_from(entries)) if entries else {}
+        if mutation == "bad_number":
+            key = draw(st.sampled_from(["profit", "size", "capacity"]))
+            (obj if key == "capacity" else entry)[key] = draw(BAD_NUMBERS)
+        elif mutation == "negative":
+            value = draw(st.sampled_from(["-1", "-0", "-2/3", -1]))
+            where = draw(st.sampled_from(["profit", "size", "capacity"]))
+            caps, sizes = obj.get("capacities"), entry.get("sizes")
+            if where == "capacity":
+                if isinstance(caps, list) and caps:
+                    caps[-1] = value
+                else:
+                    obj["capacity"] = value
+            elif where == "size" and isinstance(sizes, list) and sizes:
+                sizes[-1] = value
+            else:
+                entry["size" if "size" in entry else "profit"] = value
+        elif mutation == "faults":  # a negative capacity and an item fault at once
+            obj["capacity" if "capacity" in obj else "capacities"] = draw(st.sampled_from(["-1", ["-1"]]))
+            fault = draw(st.sampled_from(["id", "profit", "count"]))
+            if fault == "id":
+                entry["id"] = ""
+            elif fault == "profit":
+                entry["profit"] = "-1"
+            else:
+                entry["sizes"] = ["1", "2"]
+                entry.pop("size", None)
+        elif mutation == "drop_key":
+            target = draw(st.sampled_from([obj, entry]))
+            target.pop(draw(st.sampled_from(("items", "capacity", "capacities", *keys))), None)
+        elif mutation == "extra_key":
+            entry[draw(st.sampled_from(["note", "size", "sizes"]))] = draw(INSTANCE_NUMBERS)
+        elif mutation == "empty_id":
+            entry["id"] = ""
+        elif mutation == "duplicate_id" and entries:
+            items.append(dict(draw(st.sampled_from(entries))))
+        elif mutation == "id_type":
+            entry["id"] = draw(st.sampled_from([3, None, ["a"]]))
+        elif mutation == "entry_type" and items:
+            items[draw(st.integers(min_value=0, max_value=len(items) - 1))] = draw(st.sampled_from([1, "a1", None, []]))
+        elif mutation == "size_sizes":
+            entry.pop("size", None)
+            entry["sizes"] = draw(st.sampled_from([[], ["1"], ["1", "2"], "1", ["1", "-1"]]))
+        elif mutation == "sizes_count" and isinstance(entry.get("sizes"), list):
+            entry["sizes"] = entry["sizes"] + ["1"]
+        elif mutation == "capacity_form":
+            obj[draw(st.sampled_from(["capacity", "capacities"]))] = draw(st.sampled_from(
+                ["1", ["1"], ["1", "2"], [], "x", ["-1"], ["1", "-1/2"], [None]]))
+        elif mutation == "items_type":
+            obj["items"] = draw(st.sampled_from([{}, "x", 3, None]))
+        elif mutation == "top_type":
+            obj = draw(st.sampled_from([[obj], "x", 3, None]))
+    return json.dumps(obj)
+
+
+def parsed_instance(parse, text):
+    try:
+        inst = parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+    views = (inst.capacity,) if isinstance(inst, KpInstance) else (inst.capacities,)
+    return type(inst), inst, hash(inst), inst.items, views
+
+
+@given(instance_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_instance_matches_reference(text):
+    assert parsed_instance(parse_instance, text) == parsed_instance(oracle.reference_parse_instance, text)

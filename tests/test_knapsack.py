@@ -199,6 +199,37 @@ def test_instance_json_round_trip(seed):
     assert parse_instance(format_instance(inst)) == inst
 
 
+def test_instance_is_its_integer_rows():
+    text = (
+        '{"capacity": "5/2", "items": [{"id": "a", "profit": "1/2", "size": "0.75"},'
+        ' {"id": "b", "profit": "2", "size": "1"}]}'
+    )
+    inst = parse_instance(text)
+    assert (inst.ids, inst.profits, inst.pscale) == (("a", "b"), (1, 4), 2)
+    assert inst.rows == (((3, 4), 10, 4),)
+    built = KpInstance(
+        (KpItem("a", Fraction(1, 2), Fraction(3, 4)), KpItem("b", 2, 1)), Fraction(5, 2)
+    )
+    assert inst == built and hash(inst) == hash(built)
+    assert inst.items == built.items == (
+        KpItem("a", Fraction(1, 2), Fraction(3, 4)),
+        KpItem("b", Fraction(2), Fraction(1)),
+    )
+    assert inst.capacity == Fraction(5, 2)
+    # scales are canonical: 2/4 and 1/2 give the same rows
+    assert parse_instance(text.replace('"1/2"', '"2/4"')) == inst
+    assert parse_instance(text.replace('"5/2"', '"3"')) != inst
+
+    plural = parse_instance(
+        '{"capacities": ["1", "3/2"], "items": [{"id": "a", "profit": "0", "sizes": ["1/3", "1"]}]}'
+    )
+    assert plural.rows == (((1,), 3, 3), ((2,), 3, 2))
+    assert plural.d == 2 and plural.n == 1
+    assert plural.capacities == (1, Fraction(3, 2))
+    assert plural.items == (DkpItem("a", Fraction(0), (Fraction(1, 3), Fraction(1))),)
+    assert plural != KpInstance(plural.items[:0], 1)
+
+
 # --- conflict graphs ----------------------------------------------------------
 
 
