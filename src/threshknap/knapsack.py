@@ -94,38 +94,35 @@ def _numeral(value):
     and reduced by one gcd; everything else goes through `rational`, so
     every accepted value and every error message is the same."""
     if isinstance(value, str) and value.isascii():
-        num, slash, den = value.partition("/")
-        if num.isdigit() and (den.isdigit() or not slash):
+        if value.isdigit():
             try:
-                a = int(num)
-                b = int(den) if slash else 1
+                return int(value), 1
             except ValueError:  # more digits than int() may convert
                 pass
-            else:
-                if b == 1:
-                    return a, 1
-                if b:
-                    g = gcd(a, b)
-                    return a // g, b // g
+        else:
+            num, _, den = value.partition("/")
+            if num.isdigit() and den.isdigit():
+                try:
+                    a, b = int(num), int(den)
+                except ValueError:  # as above
+                    pass
+                else:
+                    if b:
+                        g = gcd(a, b)
+                        return a // g, b // g
     q = rational(value)
     return q.numerator, q.denominator
 
 
 def _numerals(values):
     """Reduced numerators and denominators of instance numbers, as two lists
-    in order; the first bad value raises as `_numeral` does.  A list of
-    ASCII digit strings converts in bulk."""
-    try:
-        digits = "".join(values)
-    except TypeError:  # a value that is not a string
-        digits = ""
-    if digits.isascii() and digits.isdigit():
-        try:
-            return list(map(int, values)), [1] * len(values)
-        except ValueError:  # an empty string, or more digits than int() may convert
-            pass
-    pairs = [_numeral(v) for v in values]
-    return [num for num, _ in pairs], [den for _, den in pairs]
+    in order; the first bad value raises as `_numeral` does."""
+    nums, dens = [], []
+    for value in values:
+        num, den = _numeral(value)
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
 
 
 def format_rational(q):
@@ -218,7 +215,7 @@ class _Instance:
     `scale`.  The scales are canonical, so equality and hash by rows are
     equality of the rational values.  Parsing builds the rows directly;
     the Fraction views (`items`, `capacity`, `capacities`) are built on
-    first access and never re-validated."""
+    first access."""
 
     ids: tuple
     profits: tuple
@@ -238,24 +235,6 @@ def _fill(inst, ids, profits, pscale, rows):
     return inst
 
 
-def _from_rows(cls, ids, profits, pscale, rows):
-    """The instance of class `cls` holding these rows, taken as checked."""
-    return _fill(object.__new__(cls), ids, profits, pscale, rows)
-
-
-def _views(cls, fields, rows):
-    """One item of class `cls` per tuple of `fields` values in `rows`,
-    built without re-validating values an instance already holds.  Each
-    goes through `cls.__new__`, so a class that refuses construction
-    refuses this too."""
-    items = []
-    for values in rows:
-        item = cls.__new__(cls)
-        item.__dict__.update(zip(fields, values))
-        items.append(item)
-    return tuple(items)
-
-
 class KpInstance(_Instance):
     """One knapsack row.  `KpInstance(items, capacity)` checks the capacity
     and the ids; each KpItem checked its own values."""
@@ -273,10 +252,10 @@ class KpInstance(_Instance):
     @cached_property
     def items(self):
         (sizes, _, scale), = self.rows
-        return _views(KpItem, ("id", "profit", "size"), (
-            (i, Fraction(p, self.pscale), Fraction(s, scale))
+        return tuple(
+            KpItem(i, Fraction(p, self.pscale), Fraction(s, scale))
             for i, p, s in zip(self.ids, self.profits, sizes)
-        ))
+        )
 
     @cached_property
     def capacity(self):
@@ -315,10 +294,10 @@ class DkpInstance(_Instance):
     @cached_property
     def items(self):
         columns = [[Fraction(s, scale) for s in sizes] for sizes, _, scale in self.rows]
-        return _views(DkpItem, ("id", "profit", "sizes"), (
-            (i, Fraction(p, self.pscale), tuple(sizes))
+        return tuple(
+            DkpItem(i, Fraction(p, self.pscale), tuple(sizes))
             for i, p, *sizes in zip(self.ids, self.profits, *columns)
-        ))
+        )
 
     @cached_property
     def capacities(self):
@@ -332,9 +311,14 @@ class BpInstance:
     sizes: tuple
 
     def __post_init__(self):
-        for s in self.sizes:
-            if not (0 < s <= 1):
-                raise ValueError(f"sizes must lie in (0, 1], got {s}")
+        _require_unit_sizes(*_scaled(*_parts(self.sizes)))
+
+
+def _require_unit_sizes(sizes, scale):
+    """Every size of a row lies in (0, 1], that is 0 < size <= scale."""
+    for s in sizes:
+        if not 0 < s <= scale:
+            raise ValueError(f"sizes must lie in (0, 1], got {Fraction(s, scale)}")
 
 
 @dataclass(frozen=True)
@@ -372,9 +356,9 @@ class EquivalenceReport:
 def parse_instance(text):
     """KpInstance when the JSON uses singular capacity/size, DkpInstance for
     the plural forms (a one-element capacities list stays multi-dimensional).
-    One pass over the entries collects the raw numbers; they convert to
-    integers in bulk and are checked and scaled into rows, with no Fraction
-    and no item object.  A file with several faults reports the first in
+    One pass over the entries collects the raw numbers; each converts to a
+    reduced integer pair, and they are checked and scaled into rows, with
+    no Fraction and no item object.  A file with several faults reports the first in
     this order: the JSON shape; each entry's fields and numbers in file
     order; the capacities; per item its size count (one row), id and signs;
     then the capacities' count and signs and the size counts (several
@@ -451,7 +435,7 @@ def parse_instance(text):
         _int_row([*nums[i::step], num], [*dens[i::step], den])
         for i, (num, den) in enumerate(caps, start=1)
     )
-    return _from_rows(cls, tuple(ids), tuple(profits), pscale, rows)
+    return _fill(object.__new__(cls), tuple(ids), tuple(profits), pscale, rows)
 
 
 def _item_fault(ids, nums, counts, one_row):
@@ -778,9 +762,7 @@ def bp_lower_bound(inst):
         (sizes, cap, scale), = inst.rows
         if cap != scale:
             raise ValueError("bp bound expects capacity 1")
-        for s in sizes:
-            if not 0 < s <= scale:
-                raise ValueError(f"sizes must lie in (0, 1], got {Fraction(s, scale)}")
+        _require_unit_sizes(sizes, scale)
     row = _row(sizes, scale, scale)
     rep = _check_row([f"a{j + 1}" for j in range(len(sizes))], row)
     if not rep.equivalent:

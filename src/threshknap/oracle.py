@@ -811,6 +811,18 @@ def reference_parse_instance(text):
     the plural forms (a one-element capacities list stays multi-dimensional).
     One Fraction per number and one validated item per entry, then the
     public constructors."""
+    cls, items, capacities = reference_parse_values(text)
+    try:
+        return cls(items, capacities[0] if cls is KpInstance else capacities)
+    except ValueError as e:
+        raise InstanceFormatError(str(e)) from None
+
+
+def reference_parse_values(text):
+    """The instance class, the validated KpItem/DkpItem tuple and the tuple
+    of capacity Fractions (one for the singular form) that
+    `reference_parse_instance` hands to the public constructor, whose
+    checks (capacity signs, size counts, unique ids) come after these."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -853,13 +865,13 @@ def reference_parse_instance(text):
                         f"item {iid!r}: one size expected for a one-dimensional instance"
                     )
                 items.append(KpItem(iid, profit, sizes[0]))
-            return KpInstance(tuple(items), cap)
+            return KpInstance, tuple(items), (cap,)
         raw_caps = obj["capacities"]
         if not isinstance(raw_caps, list):
             raise InstanceFormatError("capacities must be a list")
         caps = tuple(rational(c) for c in raw_caps)
         items = tuple(DkpItem(iid, profit, tuple(sizes)) for iid, profit, sizes in parsed)
-        return DkpInstance(items, caps)
+        return DkpInstance, items, caps
     except ValueError as e:
         if isinstance(e, InstanceFormatError):
             raise
