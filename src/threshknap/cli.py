@@ -19,7 +19,6 @@ from .knapsack import (
     KpItem,
     NotEquivalentError,
     bp_lower_bound,
-    check_equivalence_dkp,
     check_equivalence_kp,
     dbp_lower_bound,
     dvp_lower_bound,
@@ -28,7 +27,6 @@ from .knapsack import (
     format_solution,
     parse_instance,
     rational,
-    solve_dkp_equivalent,
     solve_kp_equivalent,
 )
 from .kthreshold import (
@@ -168,11 +166,7 @@ def _cmd_convert(args):
         inst = threshold_to_kp(cs, profits)
         sys.stdout.write(format_instance(inst))
         return 0
-    inst = parse_instance(text)
-    if isinstance(inst, KpInstance):
-        rep = check_equivalence_kp(inst)
-    else:
-        rep = check_equivalence_dkp(inst)
+    rep = check_equivalence_kp(parse_instance(text))
     sys.stdout.write(format_graph(rep.conflict_graph))
     print("EQUIVALENT" if rep.equivalent else "NOT EQUIVALENT")
     if rep.witness:
@@ -181,11 +175,7 @@ def _cmd_convert(args):
 
 
 def _cmd_check(args):
-    inst = parse_instance(_read(args.file))
-    if isinstance(inst, KpInstance):
-        rep = check_equivalence_kp(inst)
-    else:
-        rep = check_equivalence_dkp(inst)
+    rep = check_equivalence_kp(parse_instance(_read(args.file)))
     sys.stdout.write(format_report(rep))
     return 0 if rep.equivalent else 1
 
@@ -193,10 +183,7 @@ def _cmd_check(args):
 def _cmd_solve(args):
     inst = parse_instance(_read(args.file))
     try:
-        if isinstance(inst, KpInstance):
-            sol = solve_kp_equivalent(inst)
-        else:
-            sol = solve_dkp_equivalent(inst)
+        sol = solve_kp_equivalent(inst)
     except NotEquivalentError as e:
         sys.stdout.write(format_report(e.report))
         return 1

@@ -233,6 +233,15 @@ def content_lines(text):
             yield lineno, line
 
 
+# the largest vertex count a graph file may declare: recognition keeps one
+# bucket list per vertex, about 60 MB at this bound
+MAX_VERTICES = 2**20
+
+
+def _too_many(n):
+    return f"{n} vertices exceed the limit of {MAX_VERTICES}"
+
+
 def parse_graph(text):
     """Parse the text graph format: `p <n> <m>` then m lines `e <u> <v>`, u < v.
 
@@ -240,6 +249,9 @@ def parse_graph(text):
     checked once and ORed into the masks of its endpoints, which also
     catches a repeated line; the n-entry mask list is made only once every
     line has passed, so a huge header cannot outrun a later line's error.
+    A vertex count above MAX_VERTICES raises CapacityError then, or at the
+    first edge line naming a vertex above it, before anything of that size
+    is allocated.
     """
     n = None
     m = None
@@ -257,7 +269,9 @@ def parse_graph(text):
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("non-integer edge endpoints", lineno) from None
-            if not (1 <= u < v <= n):
+            if not (1 <= u < v <= top):
+                if 1 <= u < v <= n:
+                    raise CapacityError(f"line {lineno}: {_too_many(n)}")
                 raise GraphFormatError(
                     f"edge endpoints must satisfy 1 <= u < v <= {n}, got {u} {v}", lineno
                 )
@@ -279,6 +293,7 @@ def parse_graph(text):
                 raise GraphFormatError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative header fields", lineno)
+            top = min(n, MAX_VERTICES)
         else:
             raise GraphFormatError(f"unknown record `{parts[0]}`", lineno)
     if n is None:
@@ -287,6 +302,8 @@ def parse_graph(text):
         raise GraphFormatError(f"header promises {m} edges, found {found}")
     if repeated:
         raise GraphFormatError("duplicate edge lines")
+    if n > MAX_VERTICES:
+        raise CapacityError(_too_many(n))
     masks = [0] * n
     for v, mask in adj.items():
         masks[v - 1] = mask

@@ -7,9 +7,13 @@ An instance is its exact integer rows: per dimension the sizes and the
 capacity times the lcm of their reduced denominators, and the profits times
 theirs.  Numbers are parsed straight to integer pairs; Fractions appear only
 in the `items`/`capacity`/`capacities` views and in solution totals, and
-every comparison against a capacity is exact.  The conflict graph of a
-one-dimensional instance joins two items when they cannot share the knapsack;
-it is always a threshold graph, which is what makes the solvers polynomial.
+every comparison against a capacity is exact.  The conflict graph joins two
+items when they overfill some row together.  One row's conflict graph is
+always a threshold graph; several rows give the union of theirs, which may
+be threshold too.  One decide-and-solve path serves any number of rows: on
+a threshold conflict graph it walks the creation sequence, which is what
+makes the solvers polynomial, and otherwise it lists the cover's maximal
+independent sets.  The `_dkp` names are the `_kp` functions.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from .threshold import (
     _recognize,
     alpha_omega,
     creation_sequence_to_graph,
-    enumerate_mis,
 )
 
 
@@ -112,17 +115,6 @@ def _numeral(value):
                         return a // g, b // g
     q = rational(value)
     return q.numerator, q.denominator
-
-
-def _numerals(values):
-    """Reduced numerators and denominators of instance numbers, as two lists
-    in order; the first bad value raises as `_numeral` does."""
-    nums, dens = [], []
-    for value in values:
-        num, den = _numeral(value)
-        nums.append(num)
-        dens.append(den)
-    return nums, dens
 
 
 def format_rational(q):
@@ -356,16 +348,16 @@ class EquivalenceReport:
 def parse_instance(text):
     """KpInstance when the JSON uses singular capacity/size, DkpInstance for
     the plural forms (a one-element capacities list stays multi-dimensional).
-    One pass over the entries collects the raw numbers; each converts to a
-    reduced integer pair, and they are checked and scaled into rows, with
-    no Fraction and no item object.  A file with several faults reports the first in
-    this order: the JSON shape; each entry's fields and numbers in file
-    order; the capacities; per item its size count (one row), id and signs;
-    then the capacities' count and signs and the size counts (several
+    One pass over the entries converts each number to a reduced integer
+    pair where it is read; the pairs are checked and scaled into rows, with
+    no Fraction and no item object.  A file with several faults reports the
+    first in this order: the JSON shape; each entry's fields and numbers in
+    file order; the capacities; per item its size count (one row), id and
+    signs; then the capacities' count and signs and the size counts (several
     rows); then the ids' uniqueness."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a decode error, or an integer beyond the digit limit
         raise InstanceFormatError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise InstanceFormatError("invalid JSON: nested too deeply") from None
@@ -377,30 +369,33 @@ def parse_instance(text):
     if not isinstance(raw_items, list):
         raise InstanceFormatError("items must be a list")
 
-    ids, values, counts = [], [], []  # values: each entry's profit, then its sizes
-
-    def fault(message):
-        _numerals(values)  # a bad number earlier in the file comes first
-        raise InstanceFormatError(message)
-
+    # per entry its profit, then its sizes, each converted where it is read,
+    # so a bad number comes before any later fault
+    ids, nums, dens, counts = [], [], [], []
     for entry in raw_items:
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            fault("each item needs a string id")
+            raise InstanceFormatError("each item needs a string id")
         if "profit" not in entry:
-            fault(f"item {entry['id']!r}: missing profit")
+            raise InstanceFormatError(f"item {entry['id']!r}: missing profit")
         ids.append(entry["id"])
-        values.append(entry["profit"])
+        num, den = _numeral(entry["profit"])
+        nums.append(num)
+        dens.append(den)
         if ("size" in entry) == ("sizes" in entry):
-            fault(f"item {entry['id']!r}: exactly one of size/sizes required")
+            raise InstanceFormatError(f"item {entry['id']!r}: exactly one of size/sizes required")
         if "size" in entry:
-            values.append(entry["size"])
+            num, den = _numeral(entry["size"])
+            nums.append(num)
+            dens.append(den)
             counts.append(1)
         elif isinstance(entry["sizes"], list):
-            values += entry["sizes"]
+            for value in entry["sizes"]:
+                num, den = _numeral(value)
+                nums.append(num)
+                dens.append(den)
             counts.append(len(entry["sizes"]))
         else:
-            fault(f"item {entry['id']!r}: sizes must be a list")
-    nums, dens = _numerals(values)
+            raise InstanceFormatError(f"item {entry['id']!r}: sizes must be a list")
     try:
         if "capacity" in obj:
             cls, caps = KpInstance, [_numeral(obj["capacity"])]
@@ -428,7 +423,7 @@ def parse_instance(text):
         if isinstance(e, InstanceFormatError):
             raise
         raise InstanceFormatError(str(e)) from None
-    # every item now has len(caps) sizes: values run profit, sizes, profit, ...
+    # every item now has len(caps) sizes: nums run profit, sizes, profit, ...
     step = len(caps) + 1
     profits, pscale = _scaled(nums[::step], dens[::step])
     rows = tuple(
@@ -503,7 +498,7 @@ def format_report(rep):
 
 
 # ---------------------------------------------------------------------------
-# the one-row core: conflict graphs and equivalence
+# conflict graphs and equivalence, for any number of rows
 
 
 _NO_ITEMS = Graph(0, ())
@@ -521,7 +516,7 @@ class _Row(NamedTuple):
 
 
 def _row(sizes, capacity, scale):
-    """The core of every one-row path, O(n log n).  Items sorted by
+    """The core of every path, O(n log n) per row.  Items sorted by
     (size, index) are peeled with two pointers: the smallest remaining item
     fits beside every other one when it fits beside the largest, so it is
     isolated (bit 0); otherwise the largest conflicts with every other one,
@@ -571,6 +566,21 @@ def _mis_members(cs, i):
     return tuple(sorted([cs.vmap[i] - 1, *zeros]))
 
 
+def _first_overfull(cs, sizes, capacity):
+    """(0-bit count, item of v(i), position i) of the first maximal
+    independent set of the sequence's graph, in canonical order (fewest
+    items, then smallest indices), whose `sizes` total exceeds `capacity`;
+    None when every one fits.  Sets of one size share their 0-bit
+    vertices, so among them the one with the smallest v(i) comes first."""
+    first = None
+    for i, zeros, j, total in _mis_walk(cs, sizes):
+        if first is not None and zeros > first[0]:
+            break
+        if total > capacity and (first is None or j < first[1]):
+            first = (zeros, j, i)
+    return first
+
+
 def _shrink_witness(members, weight, rows):
     """Greedily drop items, lightest (weight, index) first, while the rest
     still overfills some row; rows are (integer sizes, capacity) pairs whose
@@ -585,82 +595,58 @@ def _shrink_witness(members, weight, rows):
     return tuple(sorted(kept))
 
 
-def _check_row(ids, row):
-    """Equivalence report of one row.  The witness comes from the first
-    overfull maximal independent set in canonical order (fewest items, then
-    smallest indices): sets of one size share their 0-bit vertices, so among
-    them the one with the smallest v(i) comes first."""
-    conflict = row.sequence or _NO_ITEMS
-    first = None
-    if row.sequence is not None:
-        for i, zeros, j, total in _mis_walk(row.sequence, row.sizes):
-            if first is not None and zeros > first[0]:
-                break
-            if total > row.capacity and (first is None or j < first[1]):
-                first = (zeros, j, i)
-    if first is None:
-        return EquivalenceReport(True, conflict, None)
-    members = _mis_members(row.sequence, first[2])
-    small = _shrink_witness(members, row.sizes, [(row.sizes, row.capacity)])
-    return EquivalenceReport(False, conflict, tuple(ids[j] for j in small))
-
-
-def conflict_graph_kp(inst):
-    """Items as vertices; an edge whenever two items overfill the knapsack
-    together (strict comparison).  Built from the core's creation
-    sequence."""
-    cs = _row(*inst.rows[0]).sequence
-    return creation_sequence_to_graph(cs) if cs else _NO_ITEMS
-
-
-def check_equivalence_kp(inst):
-    """Feasibility of every maximal independent set of the conflict graph is
+def _decide(ids, rows):
+    """(report, sequence, family) for the `_Row`s of an instance.
+    Feasibility of every maximal independent set of the conflict graph is
     enough: feasibility is downward closed and every independent set extends
-    to a maximal one.  On failure the witness is a pairwise-compatible but
-    oversized item set, shrunk to a minimal one.  O(n log n)."""
-    return _check_row(inst.ids, _row(*inst.rows[0]))
+    to a maximal one.  The first overfull set in canonical order is shrunk
+    to the witness.  The sets are read off `sequence` when the conflict
+    graph is threshold: always for one row, and for several rows when their
+    union is; each row then gives its own first overfull set.  Otherwise
+    `family` lists them, 0-based and in canonical order."""
+    limits = [(row.sizes, row.capacity) for row in rows]
+    conflict = cs = rows[0].sequence
+    fam, members = [], None
+    if cs is None:  # no items
+        conflict = _NO_ITEMS
+    elif len(rows) > 1:
+        conflict = ThresholdCover(tuple(row.sequence for row in rows))
+        cs = _recognize(conflict.union_masks)
+        if not isinstance(cs, CreationSequence):
+            cs = None
+            fam = [tuple(v - 1 for v in s) for s in enumerate_mis_k(conflict)]
+    if cs is not None:
+        firsts = [_first_overfull(cs, sizes, cap) for sizes, cap in limits]
+        first = min(filter(None, firsts), default=None)
+        if first is not None:
+            members = _mis_members(cs, first[2])
+    else:
+        members = next(
+            (s for s in fam if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits)),
+            None,
+        )
+    if members is None:
+        return EquivalenceReport(True, conflict, None), cs, fam
+    if len(rows) == 1:
+        weight = rows[0].sizes
+    else:
+        # an item's size summed over the rows, times the lcm of their
+        # scales: exact, and ordered as the rational sums are
+        common = lcm(*(row.scale for row in rows))
+        weight = {j: sum(r.sizes[j] * (common // r.scale) for r in rows) for j in members}
+    small = _shrink_witness(members, weight, limits)
+    return EquivalenceReport(False, conflict, tuple(ids[j] for j in small)), cs, fam
 
 
-def solve_kp_equivalent(inst):
-    """Optimum over the maximal independent sets of the conflict graph plus
-    the empty set; exact rational profit.  Ties go to fewer items, then
-    smaller indices; among sets of one size that is the smallest v(i), as in
-    the check.  O(n log n) plus the chosen set."""
-    row = _row(*inst.rows[0])
-    rep = _check_row(inst.ids, row)
-    if not rep.equivalent:
-        raise NotEquivalentError(rep)
-    best = None  # (-profit, 0-bit count, item of v(i), position i)
-    if row.sequence is not None:
-        for i, zeros, j, profit in _mis_walk(row.sequence, inst.profits):
-            key = (-profit, zeros, j, i)
-            if profit > 0 and (best is None or key < best):
-                best = key
-    chosen = _mis_members(row.sequence, best[3]) if best else ()
-    profit = -best[0] if best else 0
-    total = sum(row.sizes[j] for j in chosen)
-    return Solution(
-        tuple(inst.ids[j] for j in chosen),
-        Fraction(profit, inst.pscale),
-        (Fraction(total, row.scale),),
-    )
-
-
-# ---------------------------------------------------------------------------
-# d-dimensional instances: the one-row core once per dimension
-
-
-def _dimension_rows(inst):
+def _rows(inst):
     return [_row(*row) for row in inst.rows]
 
 
-def _cover(rows):
-    return ThresholdCover(tuple(row.sequence for row in rows))
-
-
-def conflict_graph_dkp(inst):
-    """Union over dimensions of the per-dimension conflict graphs."""
-    return _cover(_dimension_rows(inst)).covered if inst.n else _NO_ITEMS
+def conflict_graph_kp(inst):
+    """Items as vertices; an edge whenever two items overfill some row
+    together (strict comparison): the union of the rows' conflict graphs,
+    ORed from their creation sequences."""
+    return conflict_cover_dkp(inst).covered if inst.n else _NO_ITEMS
 
 
 def conflict_cover_dkp(inst):
@@ -668,49 +654,15 @@ def conflict_cover_dkp(inst):
     conflict graphs' creation sequences."""
     if inst.n == 0:
         raise ValueError("the empty graph has no creation sequence")
-    return _cover(_dimension_rows(inst))
+    return ThresholdCover(tuple(row.sequence for row in _rows(inst)))
 
 
-def _dkp_mis_families(inst, rows):
-    """(union conflict graph as the rows' cover, or the empty Graph without
-    items; its maximal independent sets as 0-based index tuples in
-    canonical order)."""
-    if inst.n == 0:
-        return _NO_ITEMS, []
-    cover = _cover(rows)
-    # the union is often threshold itself; its single sequence is cheaper
-    # than the tuple product
-    got = _recognize(cover.union_masks)
-    if isinstance(got, CreationSequence):
-        fam = enumerate_mis(got)
-    else:
-        fam = enumerate_mis_k(cover)
-    return cover, [tuple(v - 1 for v in s) for s in fam]
-
-
-def _check_dkp(inst, rows):
-    """(report, family): the first maximal independent set of the union, in
-    canonical order, that overfills some dimension is shrunk to the
-    witness."""
-    conflict, fam = _dkp_mis_families(inst, rows)
-    limits = [(row.sizes, row.capacity) for row in rows]
-    for s in fam:
-        if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits):
-            # an item's size summed over dimensions, times the lcm of the
-            # scales: exact, and ordered as the rational sums are
-            common = lcm(*(row.scale for row in rows))
-            factors = [common // row.scale for row in rows]
-            weight = {
-                j: sum(row.sizes[j] * f for row, f in zip(rows, factors)) for j in s
-            }
-            small = _shrink_witness(s, weight, limits)
-            ids = tuple(inst.ids[j] for j in small)
-            return EquivalenceReport(False, conflict, ids), fam
-    return EquivalenceReport(True, conflict, None), fam
-
-
-def check_equivalence_dkp(inst):
-    return _check_dkp(inst, _dimension_rows(inst))[0]
+def check_equivalence_kp(inst):
+    """Equivalence report of an instance with any number of rows.  On
+    failure the witness is a pairwise-compatible but oversized item set,
+    shrunk to a minimal one.  O(n log n) per row when the conflict graph is
+    threshold, plus the union's masks when there are several rows."""
+    return _decide(inst.ids, _rows(inst))[0]
 
 
 def _best_candidate(candidates, profits):
@@ -727,18 +679,38 @@ def _best_candidate(candidates, profits):
     return best, best_profit
 
 
-def solve_dkp_equivalent(inst):
-    rows = _dimension_rows(inst)
-    rep, fam = _check_dkp(inst, rows)
+def solve_kp_equivalent(inst):
+    """Optimum over the maximal independent sets of the conflict graph plus
+    the empty set; exact rational profit.  Ties go to fewer items, then
+    smaller indices; among sets of one size that is the smallest v(i), as in
+    the check.  On a threshold conflict graph O(n log n) per row plus the
+    chosen set; otherwise one sum per set of the cover's family."""
+    rows = _rows(inst)
+    rep, cs, fam = _decide(inst.ids, rows)
     if not rep.equivalent:
         raise NotEquivalentError(rep)
-    chosen, profit = _best_candidate(fam + [()], inst.profits)
+    if cs is None:
+        chosen, profit = _best_candidate(fam + [()], inst.profits)
+    else:
+        best = None  # (-profit, 0-bit count, item of v(i), position i)
+        for i, zeros, j, p in _mis_walk(cs, inst.profits):
+            key = (-p, zeros, j, i)
+            if p > 0 and (best is None or key < best):
+                best = key
+        chosen = _mis_members(cs, best[3]) if best else ()
+        profit = -best[0] if best else 0
     totals = tuple(
         Fraction(sum(row.sizes[j] for j in chosen), row.scale) for row in rows
     )
     return Solution(
         tuple(inst.ids[j] for j in chosen), Fraction(profit, inst.pscale), totals
     )
+
+
+# one body per job, whatever the number of rows
+check_equivalence_dkp = check_equivalence_kp
+solve_dkp_equivalent = solve_kp_equivalent
+conflict_graph_dkp = conflict_graph_kp
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +736,7 @@ def bp_lower_bound(inst):
             raise ValueError("bp bound expects capacity 1")
         _require_unit_sizes(sizes, scale)
     row = _row(sizes, scale, scale)
-    rep = _check_row([f"a{j + 1}" for j in range(len(sizes))], row)
+    rep = _decide([f"a{j + 1}" for j in range(len(sizes))], [row])[0]
     if not rep.equivalent:
         raise NotEquivalentError(rep)
     return row.sequence.bits.count("1") if row.sequence else 0
@@ -782,14 +754,14 @@ def _require_unit_view(inst):
 
 
 def _check_dimensions_equivalent(inst):
-    """The instance's rows, each checked on its own; a failure names its
-    1-based dimension."""
-    rows = _dimension_rows(inst)
+    """The cover of the instance's rows, each row checked on its own; a
+    failure names its 1-based dimension."""
+    rows = _rows(inst)
     for i, row in enumerate(rows, start=1):
-        rep = _check_row(inst.ids, row)
+        rep = _decide(inst.ids, [row])[0]
         if not rep.equivalent:
             raise NotEquivalentError(rep, dimension=i)
-    return rows
+    return ThresholdCover(tuple(row.sequence for row in rows))
 
 
 def dvp_lower_bound(inst):
@@ -800,7 +772,7 @@ def dvp_lower_bound(inst):
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
-    adj = _cover(_check_dimensions_equivalent(inst)).union_masks
+    adj = _check_dimensions_equivalent(inst).union_masks
     got = _recognize(adj)
     if isinstance(got, CreationSequence):
         return alpha_omega(got)[1]
@@ -814,4 +786,4 @@ def dbp_lower_bound(inst):
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
-    return omega_intersection(_cover(_check_dimensions_equivalent(inst)))
+    return omega_intersection(_check_dimensions_equivalent(inst))

@@ -15,7 +15,6 @@ from operator import and_, or_
 from .graphs import (
     CapacityError,
     ContractError,
-    GraphFormatError,
     canonical_family,
     content_lines,
     graph_from_masks,
@@ -122,11 +121,10 @@ def parse_cover(text):
                 ) from None
             block = [first] + [s for _, s in lines[pos + 1 : pos + 1 + m_edges]]
             pos += 1 + m_edges
-            try:
-                g = parse_graph("\n".join(block))
-            except GraphFormatError as e:
+            try:  # a malformed, oversized or empty graph
+                got = recognize_threshold(parse_graph("\n".join(block)))
+            except ValueError as e:
                 raise CoverFormatError(f"member {i}: {e}") from None
-            got = recognize_threshold(g)
             if isinstance(got, RecognitionFailure):
                 raise CoverFormatError(f"member {i} is not a threshold graph")
             members.append(got)

@@ -371,6 +371,23 @@ def test_gen_deterministic(capsys):
     assert a != c
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["recognize"], "p 10000000000000 0\n"),
+        (["enumerate", "mis"], "k 2\n1\np 10000000000000 0\n"),
+        (["enumerate", "mis"], "k 1\np 0 0\n"),
+        (["check"], '{"capacity": "1", "items": [{"id": "a", "profit": %s, "size": "1"}]}' % ("7" * 4301)),
+    ],
+)
+def test_oversized_or_empty_input_is_input_error(write, capsys, argv, text):
+    # a huge `p` header once exhausted memory (exit 3); an empty cover
+    # member and a JSON integer past the digit limit raised plain ValueError
+    rc, out, err = run(capsys, argv + [write("f", text)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_json_is_input_error(write, capsys):
     rc, _, err = run(capsys, ["check", write("i.json", "{nope")])
     assert rc == 2

@@ -241,6 +241,9 @@ def test_check_dkp_matches_reference(inst):
     got = check_equivalence_dkp(inst)
     assert report_fields(got) == report_fields(oracle.reference_check_equivalence_dkp(inst))
     assert conflict_graph_dkp(inst) == oracle.reference_conflict_graph_dkp(inst)
+    # the one-row names answer for every row, not only the first
+    assert report_fields(check_equivalence_kp(inst)) == report_fields(got)
+    assert conflict_graph_kp(inst) == oracle.reference_conflict_graph_dkp(inst)
     if inst.n:
         cover = conflict_cover_dkp(inst)
         assert oracle.member_graphs(cover) == oracle.member_graphs(
@@ -251,9 +254,24 @@ def test_check_dkp_matches_reference(inst):
 @given(dkp_instances())
 @settings(max_examples=200, deadline=None)
 def test_solve_dkp_matches_reference(inst):
-    assert outcome(solve_dkp_equivalent, inst) == outcome(
-        oracle.reference_solve_dkp_equivalent, inst
+    want = outcome(oracle.reference_solve_dkp_equivalent, inst)
+    assert outcome(solve_dkp_equivalent, inst) == want
+    assert outcome(solve_kp_equivalent, inst) == want
+
+
+def test_union_threshold_witness_comes_from_the_row_that_overfills_first():
+    # row 1 (sizes 2, 2, 2, 0, capacity 4) first overfills on {a, b, c};
+    # row 2 (sizes 1, 1, 1, 5, capacity 3) already on {d}.  The union is a
+    # star at d, so it is threshold and is walked on its sequence.
+    items = tuple(
+        DkpItem(i, Fraction(1), (Fraction(s1), Fraction(s2)))
+        for i, s1, s2 in zip("abcd", (2, 2, 2, 0), (1, 1, 1, 5))
     )
+    inst = DkpInstance(items, (Fraction(4), Fraction(3)))
+    rep = check_equivalence_kp(inst)
+    assert rep.witness == ("d",)
+    assert report_fields(rep) == report_fields(oracle.reference_check_equivalence_dkp(inst))
+    assert outcome(solve_kp_equivalent, inst) == outcome(oracle.reference_solve_dkp_equivalent, inst)
 
 
 @given(dkp_instances(max_n=6))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from threshknap import oracle
 from threshknap.graphs import (
+    MAX_VERTICES,
+    CapacityError,
     Graph,
     GraphFormatError,
     ShapeMismatchError,
@@ -158,6 +160,17 @@ def test_parse_graph_errors(text, fragment):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_graph_bounds_the_vertex_count():
+    # refused before the n-entry mask list, or an edge's n-bit mask, exists
+    assert parse_graph(f"p {MAX_VERTICES} 1\ne 1 {MAX_VERTICES}\n").n == MAX_VERTICES
+    with pytest.raises(CapacityError, match="exceed the limit"):
+        parse_graph("p 10000000000000 0\n")
+    with pytest.raises(CapacityError, match="exceed the limit"):
+        parse_graph(f"p {MAX_VERTICES + 1} 0\n")
+    with pytest.raises(CapacityError, match="^line 2: "):
+        parse_graph("p 10000000000000 1\ne 1 9999999999999\n")
 
 
 def test_parse_graph_error_carries_line_number():

@@ -294,6 +294,19 @@ def test_check_equivalence_dkp_negatives():
     assert not rep.equivalent
 
 
+def test_one_body_per_job_for_any_number_of_rows():
+    assert check_equivalence_dkp is check_equivalence_kp
+    assert solve_dkp_equivalent is solve_kp_equivalent
+    assert conflict_graph_dkp is conflict_graph_kp
+    # each item alone overfills the second row, while the pair fits the
+    # first: a walk of the first row only would choose both
+    inst = dkp([[1, 1], [5, 5]], [2, 4])
+    rep = check_equivalence_kp(inst)
+    assert not rep.equivalent and rep.witness == ("a1",)
+    with pytest.raises(NotEquivalentError):
+        solve_kp_equivalent(inst)
+
+
 def assert_minimal_violation(ids, inst):
     """A reported witness must overflow some dimension, be pairwise
     compatible, and lose the overflow when any one item is dropped."""
