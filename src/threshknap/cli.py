@@ -3,11 +3,14 @@
 Exit status conventions: 0 on success, 1 on a semantic negative (input graph
 is not threshold/split, instance not equivalent to its conflict graph), 2 on
 malformed input, 3 on an internal error (one `error: internal:` line on
-stderr, no traceback).  Output is line-oriented and stable for fixed inputs.
+stderr, no traceback), 141 (128 + SIGPIPE) when the reader closes stdout
+early, with nothing more written.  Output is line-oriented and stable for
+fixed inputs.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -67,34 +70,29 @@ def _sniff(text):
     return "sequence"
 
 
-def _witness_line(failure):
-    if failure.witness is None:
-        return None
-    verts = " ".join(str(v) for v in failure.witness)
-    return f"induced {failure.tag}: {verts}"
+def _threshold_sequence(text, shape):
+    """The creation sequence of a graph or sequence file of the sniffed
+    `shape`; None for a graph that is not threshold."""
+    if shape == "graph":
+        got = recognize_threshold(parse_graph(text))
+        return None if isinstance(got, RecognitionFailure) else got
+    return parse_sequence(text)
 
 
 def _cmd_recognize(args):
     g = parse_graph(_read(args.file))
+    recognize = recognize_split if args.split else recognize_threshold
+    got = recognize(g, want_witness=args.witness)
+    if isinstance(got, RecognitionFailure):
+        print(f"not a {'split' if args.split else 'threshold'} graph")
+        if got.witness is not None:
+            print(f"induced {got.tag}: " + " ".join(str(v) for v in got.witness))
+        return 1
     if args.split:
-        got = recognize_split(g, want_witness=args.witness)
-        if isinstance(got, RecognitionFailure):
-            print("not a split graph")
-            line = _witness_line(got)
-            if line:
-                print(line)
-            return 1
         print("K " + " ".join(str(v) for v in got.K))
         print("S " + " ".join(str(v) for v in got.S))
-        return 0
-    got = recognize_threshold(g, want_witness=args.witness)
-    if isinstance(got, RecognitionFailure):
-        print("not a threshold graph")
-        line = _witness_line(got)
-        if line:
-            print(line)
-        return 1
-    sys.stdout.write(serialize_sequence(got))
+    else:
+        sys.stdout.write(serialize_sequence(got))
     return 0
 
 
@@ -122,25 +120,19 @@ def _cmd_enumerate(args):
     text = _read(args.file)
     shape = _sniff(text)
     if shape == "cover":
-        cover = parse_cover(text)
-        fam = _COVER_ENUM[args.kind](cover)
+        fam = _COVER_ENUM[args.kind](parse_cover(text))
         if args.count_only:
             print(len(fam))
         else:
             _print_family(fam)
         return 0
-    if shape == "graph":
-        g = parse_graph(text)
-        got = recognize_threshold(g)
-        if isinstance(got, RecognitionFailure):
-            print(
-                "not a threshold graph; supply a cover file (`k <k>` header) instead",
-                file=sys.stderr,
-            )
-            return 1
-        cs = got
-    else:
-        cs = parse_sequence(text)
+    cs = _threshold_sequence(text, shape)
+    if cs is None:
+        print(
+            "not a threshold graph; supply a cover file (`k <k>` header) instead",
+            file=sys.stderr,
+        )
+        return 1
     if args.count_only:
         print(_SINGLE_COUNT[args.kind](cs))
     else:
@@ -151,15 +143,10 @@ def _cmd_enumerate(args):
 def _cmd_convert(args):
     text = _read(args.file)
     if args.direction == "graph-to-kp":
-        if _sniff(text) == "graph":
-            g = parse_graph(text)
-            got = recognize_threshold(g)
-            if isinstance(got, RecognitionFailure):
-                print("not a threshold graph", file=sys.stderr)
-                return 1
-            cs = got
-        else:
-            cs = parse_sequence(text)
+        cs = _threshold_sequence(text, _sniff(text))
+        if cs is None:
+            print("not a threshold graph", file=sys.stderr)
+            return 1
         profits = None
         if args.profits:
             profits = [rational(p) for p in args.profits.split(",")]
@@ -181,12 +168,7 @@ def _cmd_check(args):
 
 
 def _cmd_solve(args):
-    inst = parse_instance(_read(args.file))
-    try:
-        sol = solve_kp_equivalent(inst)
-    except NotEquivalentError as e:
-        sys.stdout.write(format_report(e.report))
-        return 1
+    sol = solve_kp_equivalent(parse_instance(_read(args.file)))
     sys.stdout.write(format_solution(sol))
     return 0
 
@@ -195,13 +177,7 @@ _BOUND = {"bp": bp_lower_bound, "dvp": dvp_lower_bound, "dbp": dbp_lower_bound}
 
 
 def _cmd_bound(args):
-    inst = parse_instance(_read(args.file))
-    try:
-        val = _BOUND[args.kind](inst)  # each reads the instance's rows
-    except NotEquivalentError as e:
-        sys.stdout.write(format_report(e.report))
-        return 1
-    print(val)
+    print(_BOUND[args.kind](parse_instance(_read(args.file))))  # each reads the rows
     return 0
 
 
@@ -292,13 +268,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotEquivalentError as e:  # bounds outside explicit handlers
+    except NotEquivalentError as e:  # a solve or bound refused: the failing report
         sys.stdout.write(format_report(e.report))
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except BrokenPipeError:  # the reader closed stdout: stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the final flush prints nothing
+        os.close(devnull)
+        return 141
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a fault of the program, not of the input

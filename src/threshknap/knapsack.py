@@ -7,13 +7,15 @@ An instance is its exact integer rows: per dimension the sizes and the
 capacity times the lcm of their reduced denominators, and the profits times
 theirs.  Numbers are parsed straight to integer pairs; Fractions appear only
 in the `items`/`capacity`/`capacities` views and in solution totals, and
-every comparison against a capacity is exact.  The conflict graph joins two
-items when they overfill some row together.  One row's conflict graph is
-always a threshold graph; several rows give the union of theirs, which may
-be threshold too.  One decide-and-solve path serves any number of rows: on
-a threshold conflict graph it walks the creation sequence, which is what
-makes the solvers polynomial, and otherwise it lists the cover's maximal
-independent sets.  The `_dkp` names are the `_kp` functions.
+every comparison against a capacity is exact.  One builder, `_build`, checks
+and scales every instance, for the parser and for each constructor; a
+`BpInstance` is the one-row instance of capacity 1.  The conflict graph
+joins two items when they overfill some row together.  One row's conflict
+graph is always a threshold graph; several rows give the union of theirs,
+which may be threshold too.  One decide-and-solve path serves any number of
+rows: on a threshold conflict graph it walks the creation sequence, which
+is what makes the solvers polynomial, and otherwise it lists the cover's
+maximal independent sets.  The `_dkp` names are the `_kp` functions.
 """
 from __future__ import annotations
 
@@ -144,6 +146,14 @@ def format_rational(q):
 # instance model
 
 
+def _check_item(iid, profit, sizes, what):
+    """The rules one item obeys: a nonempty id, no negative profit or size."""
+    if not iid:
+        raise ValueError("item id must be nonempty")
+    if profit < 0 or any(s < 0 for s in sizes):
+        raise ValueError(f"item {iid}: profit and {what} must be non-negative")
+
+
 @dataclass(frozen=True)
 class KpItem:
     id: str
@@ -151,10 +161,7 @@ class KpItem:
     size: Fraction
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("item id must be nonempty")
-        if self.profit < 0 or self.size < 0:
-            raise ValueError(f"item {self.id}: profit and size must be non-negative")
+        _check_item(self.id, self.profit, (self.size,), "size")
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,7 @@ class DkpItem:
     sizes: tuple
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("item id must be nonempty")
-        if self.profit < 0 or any(s < 0 for s in self.sizes):
-            raise ValueError(f"item {self.id}: profit and sizes must be non-negative")
+        _check_item(self.id, self.profit, self.sizes, "sizes")
 
 
 def _scaled(nums, dens):
@@ -179,23 +183,9 @@ def _scaled(nums, dens):
     return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
 
-def _int_row(nums, dens):
-    """(sizes, capacity, scale) from the reduced fractions nums[k]/dens[k],
-    the last of them the capacity: all times `scale`, the lcm of their
-    denominators."""
-    ints, scale = _scaled(nums, dens)
-    cap = ints.pop()
-    return tuple(ints), cap, scale
-
-
 def _parts(values):
     """Numerators and denominators of a list of ints or Fractions."""
     return [q.numerator for q in values], [q.denominator for q in values]
-
-
-def _unique(ids):
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate item ids")
 
 
 @dataclass(frozen=True, init=False)
@@ -205,9 +195,9 @@ class _Instance:
     profits' reduced denominators; `rows` holds one (sizes, capacity, scale)
     per dimension, the sizes and capacity times that dimension's lcm
     `scale`.  The scales are canonical, so equality and hash by rows are
-    equality of the rational values.  Parsing builds the rows directly;
-    the Fraction views (`items`, `capacity`, `capacities`) are built on
-    first access."""
+    equality of the rational values.  `_build` checks and fills them for
+    the parser and every constructor; the Fraction views (`items`,
+    `capacity`, `capacities`) are built on first access."""
 
     ids: tuple
     profits: tuple
@@ -219,27 +209,66 @@ class _Instance:
         return len(self.ids)
 
 
-def _fill(inst, ids, profits, pscale, rows):
-    object.__setattr__(inst, "ids", ids)
-    object.__setattr__(inst, "profits", profits)
+def _build(inst, ids, nums, dens, counts, caps):
+    """Check an instance and fill `inst` with its rows; the one place that
+    holds the instance rules.  `nums`/`dens` are the reduced profit and size
+    pairs in item order (profit, then its `counts[k]` sizes), `caps` the
+    capacities' (num, den) pairs.  A KpInstance is one row.  The first fault
+    raises ValueError, in this order: per item in order its size count (one
+    row), id and signs; the capacities' count and signs; the size counts
+    (several rows); the ids' uniqueness."""
+    one_row = isinstance(inst, KpInstance)
+    if (one_row and counts.count(1) != len(counts)) or not all(ids) or min(nums, default=0) < 0:
+        _item_fault(ids, nums, counts, one_row)
+    if not caps:
+        raise ValueError("at least one dimension required")
+    if any(num < 0 for num, _ in caps):
+        raise ValueError(f"{'capacity' if one_row else 'capacities'} must be non-negative")
+    d = len(caps)
+    for iid, count in zip(ids, counts):
+        if count != d:
+            raise ValueError(f"item {iid}: expected {d} sizes, got {count}")
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate item ids")
+    # every item now has d sizes: nums run profit, sizes, profit, ...
+    step = d + 1
+    profits, pscale = _scaled(nums[::step], dens[::step])
+    rows = []
+    for i, (num, den) in enumerate(caps, start=1):
+        ints, scale = _scaled([*nums[i::step], num], [*dens[i::step], den])
+        cap = ints.pop()
+        rows.append((tuple(ints), cap, scale))
+    object.__setattr__(inst, "ids", tuple(ids))
+    object.__setattr__(inst, "profits", tuple(profits))
     object.__setattr__(inst, "pscale", pscale)
-    object.__setattr__(inst, "rows", rows)
+    object.__setattr__(inst, "rows", tuple(rows))
     return inst
 
 
+def _item_fault(ids, nums, counts, one_row):
+    """Raise the first item fault in order: a size count other than one
+    (one row only), then the item's own rules."""
+    start = 0
+    for iid, count in zip(ids, counts):
+        profit, sizes = nums[start], nums[start + 1 : start + 1 + count]
+        start += 1 + count
+        if one_row and count != 1:
+            raise InstanceFormatError(
+                f"item {iid!r}: one size expected for a one-dimensional instance"
+            )
+        _check_item(iid, profit, sizes, "size" if one_row else "sizes")
+
+
 class KpInstance(_Instance):
-    """One knapsack row.  `KpInstance(items, capacity)` checks the capacity
-    and the ids; each KpItem checked its own values."""
+    """One knapsack row.  `KpInstance(items, capacity)` hands its values to
+    `_build`, which checks the capacity and the ids; each KpItem checked
+    its own values."""
 
     def __init__(self, items, capacity):
         items = tuple(items)
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        ids = tuple(it.id for it in items)
-        _unique(ids)
-        profits, pscale = _scaled(*_parts([it.profit for it in items]))
-        row = _int_row(*_parts([*(it.size for it in items), capacity]))
-        _fill(self, ids, tuple(profits), pscale, (row,))
+        nums, dens = _parts([q for it in items for q in (it.profit, it.size)])
+        caps = [(capacity.numerator, capacity.denominator)]
+        _build(self, [it.id for it in items], nums, dens, [1] * len(items), caps)
 
     @cached_property
     def items(self):
@@ -257,27 +286,16 @@ class KpInstance(_Instance):
 
 class DkpInstance(_Instance):
     """Several knapsack rows over the same items.  `DkpInstance(items,
-    capacities)` checks the dimension count, the capacities, each item's
-    size count and the ids; each DkpItem checked its own values."""
+    capacities)` hands its values to `_build`, which checks the dimension
+    count, the capacities, each item's size count and the ids; each DkpItem
+    checked its own values."""
 
     def __init__(self, items, capacities):
-        items, capacities = tuple(items), tuple(capacities)
-        if len(capacities) < 1:
-            raise ValueError("at least one dimension required")
-        if any(c < 0 for c in capacities):
-            raise ValueError("capacities must be non-negative")
-        d = len(capacities)
-        for it in items:
-            if len(it.sizes) != d:
-                raise ValueError(f"item {it.id}: expected {d} sizes, got {len(it.sizes)}")
-        ids = tuple(it.id for it in items)
-        _unique(ids)
-        profits, pscale = _scaled(*_parts([it.profit for it in items]))
-        rows = tuple(
-            _int_row(*_parts([*(it.sizes[i] for it in items), c]))
-            for i, c in enumerate(capacities)
-        )
-        _fill(self, ids, tuple(profits), pscale, rows)
+        items = tuple(items)
+        nums, dens = _parts([q for it in items for q in (it.profit, *it.sizes)])
+        caps = [(c.numerator, c.denominator) for c in capacities]
+        counts = [len(it.sizes) for it in items]
+        _build(self, [it.id for it in items], nums, dens, counts, caps)
 
     @property
     def d(self):
@@ -296,14 +314,16 @@ class DkpInstance(_Instance):
         return tuple(Fraction(cap, scale) for _, cap, scale in self.rows)
 
 
-@dataclass(frozen=True)
-class BpInstance:
-    """Unit-capacity packing data: sizes in (0, 1]."""
+class BpInstance(KpInstance):
+    """Unit-capacity packing data: `BpInstance(sizes)` with every size in
+    (0, 1] is the one-row instance of capacity 1 whose items a1..an have
+    profit 0 and these sizes."""
 
-    sizes: tuple
-
-    def __post_init__(self):
-        _require_unit_sizes(*_scaled(*_parts(self.sizes)))
+    def __init__(self, sizes):
+        sizes = tuple(sizes)
+        _require_unit_sizes(*_scaled(*_parts(sizes)))
+        items = (KpItem(f"a{j}", Fraction(0), s) for j, s in enumerate(sizes, start=1))
+        super().__init__(items, Fraction(1))
 
 
 def _require_unit_sizes(sizes, scale):
@@ -349,12 +369,10 @@ def parse_instance(text):
     """KpInstance when the JSON uses singular capacity/size, DkpInstance for
     the plural forms (a one-element capacities list stays multi-dimensional).
     One pass over the entries converts each number to a reduced integer
-    pair where it is read; the pairs are checked and scaled into rows, with
-    no Fraction and no item object.  A file with several faults reports the
-    first in this order: the JSON shape; each entry's fields and numbers in
-    file order; the capacities; per item its size count (one row), id and
-    signs; then the capacities' count and signs and the size counts (several
-    rows); then the ids' uniqueness."""
+    pair where it is read; `_build` checks the pairs and scales them into
+    rows, with no Fraction and no item object.  A file with several faults
+    reports the first in this order: the JSON shape; each entry's fields and
+    numbers in file order; the capacities; then `_build`'s order."""
     try:
         obj = json.loads(text)
     except ValueError as e:  # a decode error, or an integer beyond the digit limit
@@ -396,59 +414,19 @@ def parse_instance(text):
             counts.append(len(entry["sizes"]))
         else:
             raise InstanceFormatError(f"item {entry['id']!r}: sizes must be a list")
+    if "capacity" in obj:
+        cls, caps = KpInstance, [_numeral(obj["capacity"])]
+    else:
+        raw_caps = obj["capacities"]
+        if not isinstance(raw_caps, list):
+            raise InstanceFormatError("capacities must be a list")
+        cls, caps = DkpInstance, [_numeral(c) for c in raw_caps]
     try:
-        if "capacity" in obj:
-            cls, caps = KpInstance, [_numeral(obj["capacity"])]
-            if counts.count(1) != len(counts) or not all(ids) or min(nums, default=0) < 0:
-                _item_fault(ids, nums, counts, one_row=True)
-            if caps[0][0] < 0:
-                raise ValueError("capacity must be non-negative")
-        else:
-            raw_caps = obj["capacities"]
-            if not isinstance(raw_caps, list):
-                raise InstanceFormatError("capacities must be a list")
-            cls, caps = DkpInstance, [_numeral(c) for c in raw_caps]
-            if not all(ids) or min(nums, default=0) < 0:
-                _item_fault(ids, nums, counts, one_row=False)
-            if not caps:
-                raise ValueError("at least one dimension required")
-            if any(num < 0 for num, _ in caps):
-                raise ValueError("capacities must be non-negative")
-            d = len(caps)
-            for iid, count in zip(ids, counts):
-                if count != d:
-                    raise ValueError(f"item {iid}: expected {d} sizes, got {count}")
-        _unique(ids)
+        return _build(object.__new__(cls), ids, nums, dens, counts, caps)
     except ValueError as e:
         if isinstance(e, InstanceFormatError):
             raise
         raise InstanceFormatError(str(e)) from None
-    # every item now has len(caps) sizes: nums run profit, sizes, profit, ...
-    step = len(caps) + 1
-    profits, pscale = _scaled(nums[::step], dens[::step])
-    rows = tuple(
-        _int_row([*nums[i::step], num], [*dens[i::step], den])
-        for i, (num, den) in enumerate(caps, start=1)
-    )
-    return _fill(object.__new__(cls), tuple(ids), tuple(profits), pscale, rows)
-
-
-def _item_fault(ids, nums, counts, one_row):
-    """Raise the first item fault in file order: a size count other than
-    one (one row only), an empty id, a negative profit or size."""
-    start = 0
-    for iid, count in zip(ids, counts):
-        profit, sizes = nums[start], nums[start + 1 : start + 1 + count]
-        start += 1 + count
-        if one_row and count != 1:
-            raise InstanceFormatError(
-                f"item {iid!r}: one size expected for a one-dimensional instance"
-            )
-        if not iid:
-            raise ValueError("item id must be nonempty")
-        if profit < 0 or any(s < 0 for s in sizes):
-            what = "size" if one_row else "sizes"
-            raise ValueError(f"item {iid}: profit and {what} must be non-negative")
 
 
 def _format_scaled(num, scale):
@@ -723,18 +701,15 @@ def bp_lower_bound(inst):
     instances whose conflict graph does not capture feasibility.  The number
     is the count of 1-bits in the conflict graph's creation sequence.
 
-    `inst` is a BpInstance, or a one-dimensional knapsack instance of
-    capacity 1 whose sizes are the packing sizes.  Either way a refusal's
-    witness names the items a1..an by position."""
-    if isinstance(inst, BpInstance):
-        sizes, scale = _scaled(*_parts(inst.sizes))
-    else:
-        if len(inst.rows) != 1:
-            raise ValueError("bp bound expects a one-dimensional instance")
-        (sizes, cap, scale), = inst.rows
-        if cap != scale:
-            raise ValueError("bp bound expects capacity 1")
-        _require_unit_sizes(sizes, scale)
+    `inst` is a one-dimensional knapsack instance of capacity 1 whose sizes
+    are the packing sizes, a BpInstance among them.  A refusal's witness
+    names the items a1..an by position."""
+    if len(inst.rows) != 1:
+        raise ValueError("bp bound expects a one-dimensional instance")
+    (sizes, cap, scale), = inst.rows
+    if cap != scale:
+        raise ValueError("bp bound expects capacity 1")
+    _require_unit_sizes(sizes, scale)
     row = _row(sizes, scale, scale)
     rep = _decide([f"a{j + 1}" for j in range(len(sizes))], [row])[0]
     if not rep.equivalent:

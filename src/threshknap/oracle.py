@@ -809,20 +809,36 @@ def reference_parse_graph(text):
 def reference_parse_instance(text):
     """KpInstance when the JSON uses singular capacity/size, DkpInstance for
     the plural forms (a one-element capacities list stays multi-dimensional).
-    One Fraction per number and one validated item per entry, then the
-    public constructors."""
+    One Fraction per number and one validated item per entry, then its own
+    checks of the capacity signs, the size counts and the ids, in that
+    order, and only then the public constructor."""
     cls, items, capacities = reference_parse_values(text)
     try:
-        return cls(items, capacities[0] if cls is KpInstance else capacities)
+        if cls is KpInstance:
+            if capacities[0] < 0:
+                raise ValueError("capacity must be non-negative")
+        else:
+            if len(capacities) < 1:
+                raise ValueError("at least one dimension required")
+            if any(c < 0 for c in capacities):
+                raise ValueError("capacities must be non-negative")
+            d = len(capacities)
+            for it in items:
+                if len(it.sizes) != d:
+                    raise ValueError(f"item {it.id}: expected {d} sizes, got {len(it.sizes)}")
+        ids = [it.id for it in items]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate item ids")
     except ValueError as e:
         raise InstanceFormatError(str(e)) from None
+    return cls(items, capacities[0] if cls is KpInstance else capacities)
 
 
 def reference_parse_values(text):
     """The instance class, the validated KpItem/DkpItem tuple and the tuple
     of capacity Fractions (one for the singular form) that
-    `reference_parse_instance` hands to the public constructor, whose
-    checks (capacity signs, size counts, unique ids) come after these."""
+    `reference_parse_instance` checks further and hands to the public
+    constructor."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

@@ -251,6 +251,28 @@ def test_bound_dvp_on_a_clique_deeper_than_the_recursion_limit(write):
     assert (got.returncode, got.stdout, got.stderr) == (0, "1202\n", "")
 
 
+def test_closed_stdout_stops_quietly_with_141(write, capsys):
+    # the reader takes one line of a multi-megabyte family and closes the
+    # pipe: no error line, no shutdown noise, exit 128 + SIGPIPE
+    assert cli.main(["gen", "threshold", "--n", "3000"]) == 0
+    path = write("seq", capsys.readouterr().out)
+    src = os.path.dirname(os.path.dirname(threshknap.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threshknap.cli", "enumerate", "mis", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_deeply_nested_json_is_input_error(write):
     # the JSON decoder recurses once per bracket
     path = write("i.json", "[" * 100_000)

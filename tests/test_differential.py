@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshknap import oracle
@@ -759,8 +759,44 @@ def lcm_scaled(values):
     return tuple(int(q * scale) for q in values), scale
 
 
+# files with two faults that `parse_instance` reports in a fixed order,
+# one pair of neighbouring checks each; random mutations rarely combine them
+TWO_FAULTS = [
+    # an item fault before the capacity, one row and several
+    {"capacity": "-1", "items": [{"id": "", "profit": "1", "size": "1"}]},
+    {"capacities": ["-1"], "items": [{"id": "a", "profit": "-1", "sizes": ["1"]}]},
+    # one row: a size count before the capacity
+    {"capacity": "-1", "items": [{"id": "a", "profit": "1", "sizes": ["1", "2"]}]},
+    # the capacities' signs before the size counts
+    {"capacities": ["-1"], "items": [{"id": "a", "profit": "1", "sizes": ["1", "2"]}]},
+    # the size counts before the ids' uniqueness
+    {"capacities": ["1", "1"], "items": [
+        {"id": "a", "profit": "1", "sizes": ["1", "1"]},
+        {"id": "a", "profit": "1", "sizes": ["1"]},
+    ]},
+    # the capacity before the ids' uniqueness
+    {"capacity": "-1", "items": [
+        {"id": "a", "profit": "1", "size": "1"}, {"id": "a", "profit": "1", "size": "1"},
+    ]},
+    # an item's signs before the ids' uniqueness
+    {"capacity": "1", "items": [
+        {"id": "a", "profit": "1", "size": "1"}, {"id": "a", "profit": "1", "size": "-1"},
+    ]},
+]
+
+
+def explicit_examples(texts):
+    """Run a hypothesis test on each of `texts` as well."""
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return apply
+
+
 @given(instance_texts())
 @settings(max_examples=600, deadline=None)
+@explicit_examples([json.dumps(obj) for obj in TWO_FAULTS])
 def test_parse_instance_matches_reference(text):
     got = parsed_instance(parse_instance, text)
     assert got == parsed_instance(oracle.reference_parse_instance, text)

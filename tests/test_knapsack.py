@@ -145,10 +145,13 @@ def test_dkp_validation():
 
 def test_bp_validation():
     BpInstance((Fraction(1), Fraction(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sizes must lie in \(0, 1\], got 0$"):
         BpInstance((Fraction(0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sizes must lie in \(0, 1\], got 3/2$"):
         BpInstance((Fraction(3, 2),))
+    # checked before the item rules, which would name a negative size first
+    with pytest.raises(ValueError, match=r"^sizes must lie in \(0, 1\], got -1/2$"):
+        BpInstance((Fraction(1, 2), Fraction(-1, 2)))
 
 
 # --- JSON round trips ---------------------------------------------------------
