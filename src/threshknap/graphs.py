@@ -6,12 +6,15 @@ families as lists of such tuples in canonical order (cardinality first, then
 lexicographic).  A graph is its adjacency: one Python int bitmask per vertex
 (bit v-1 stands for vertex v), which covers any n without a word-size split.
 Its edge set is derived from the masks, only when it is read or printed.
+`bits` is the one walk from a mask to its vertices; every loop over a
+mask's members, and every vertex tuple made from a mask, goes through it.
 The empty set is excluded from every family the library returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import compress, count
 from operator import and_, or_
 
 
@@ -89,9 +92,11 @@ class Graph:
         return 1 <= u <= self.n and 1 <= v <= self.n and bool(self.masks[u - 1] >> (v - 1) & 1)
 
     def degree(self, v):
+        _check_set(self, (v,))
         return self.masks[v - 1].bit_count()
 
     def neighbors(self, v):
+        _check_set(self, (v,))
         return set_of_mask(self.masks[v - 1])
 
     @property
@@ -119,15 +124,25 @@ def adjacency_masks(g):
     return g.masks
 
 
+# '0' -> 0 and '1' -> 1: binary digits as selectors for compress
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(mask):
+    """The vertices of the mask (bit v-1 for vertex v) in increasing order.
+
+    The binary digits are read lowest first by C-level passes (`bin`, a
+    reversing slice, `translate`, `compress`), so the walk costs one scan of
+    the digits plus one Python step per vertex it yields."""
+    return compress(count(1), bin(mask)[:1:-1].encode().translate(_SELECTORS))
+
+
 def _pairs(masks):
     """The edges (u, v), u < v, of the graph with adjacency masks `masks`,
     in lexicographic order."""
     for u, m in enumerate(masks, start=1):
-        m >>= u  # bit k now stands for vertex u + 1 + k
-        while m:
-            low = m & -m
-            yield u, u + low.bit_length()
-            m ^= low
+        for k in bits(m >> u):  # bit k-1 of m >> u stands for vertex u + k
+            yield u, u + k
 
 
 def is_maximal_independent(adj, m):
@@ -135,11 +150,8 @@ def is_maximal_independent(adj, m):
     adjacency masks adj?  One pass over the members of m: their
     neighborhoods must miss m and, together with m, hold every vertex."""
     seen = 0
-    rest = m
-    while rest:
-        low = rest & -rest
-        seen |= adj[low.bit_length() - 1]
-        rest ^= low
+    for v in bits(m):
+        seen |= adj[v - 1]
     return seen & m == 0 and seen | m == (1 << len(adj)) - 1
 
 
@@ -151,14 +163,10 @@ def mask_of(s):
 
 
 def set_of_mask(m):
-    out = []
-    v = 1
-    while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
-    return tuple(out)
+    # a list first, so the tuple is made at its exact size: tuple() of an
+    # iterator over-allocates and then shrinks, and the slack showed as a
+    # higher peak RSS on the cover enumerators
+    return tuple([*bits(m)])
 
 
 def _check_set(g, s):
@@ -220,7 +228,7 @@ def induced_subgraph(g, s):
     keep = mask_of(verts)
     index = {v: i for i, v in enumerate(verts, start=1)}
     return graph_from_masks(
-        [mask_of(index[u] for u in set_of_mask(g.masks[v - 1] & keep)) for v in verts]
+        [mask_of(index[u] for u in bits(g.masks[v - 1] & keep)) for v in verts]
     )
 
 
@@ -324,18 +332,9 @@ def _cliques(adj):
     out = []
 
     def pivot_candidates(p, x):
-        # pivot: vertex of p|x with most neighbors inside p
-        pux = p | x
-        best, best_cnt = -1, -1
-        m = pux
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            cnt = (adj[v] & p).bit_count()
-            if cnt > best_cnt:
-                best, best_cnt = v, cnt
-            m ^= low
-        return p & ~adj[best]
+        # pivot: the first vertex of p|x with most neighbors inside p
+        best = max(bits(p | x), key=lambda v: (adj[v - 1] & p).bit_count())
+        return p & ~adj[best - 1]
 
     # frames [r, p, x, candidates left]; a child call takes the lowest
     # candidate, after which the parent moves it from p to x

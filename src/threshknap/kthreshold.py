@@ -15,6 +15,7 @@ from operator import and_, or_
 from .graphs import (
     CapacityError,
     ContractError,
+    bits,
     canonical_family,
     content_lines,
     graph_from_masks,
@@ -27,7 +28,7 @@ from .threshold import (
     RecognitionFailure,
     complement_sequence,
     enumerate_is,
-    enumerate_mis,
+    mis_masks,
     parse_sequence,
     recognize_threshold,
     sequence_masks,
@@ -158,9 +159,7 @@ def format_cover(cover):
 
 
 def _member_mis_masks(cover):
-    return [
-        [mask_of(s) for s in enumerate_mis(cs)] for cs in cover.members
-    ]
+    return [mis_masks(cs) for cs in cover.members]
 
 
 def _intersections(families):
@@ -284,17 +283,12 @@ def enumerate_mis_2t(cover):
     vertex without S-neighbors; S plus a nonadjacent A/B pair; shrunken
     variants through common non-neighborhoods), then keep the ones that
     pass the maximality test enumerate_mis_k uses.  Agrees with
-    enumerate_mis_k; on random 2-member covers of 70 to 400 vertices it
-    took 1.3 to 2.3 times less time, the most when ω is large."""
+    enumerate_mis_k; on random relabelled 2-member covers of 70 to 400
+    vertices it took 1.1 to 2.6 times less time, 1.4 to 1.8 times in the
+    median per size."""
     part = two_threshold_partition(cover)
     adj = cover.union_masks
     S = mask_of(part.S)
-
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length()
-            mask ^= low
 
     def nbar(v):
         return S & ~adj[v - 1]
@@ -341,24 +335,11 @@ def enumerate_mis_2t(cover):
                     emit.add((nbar(v1) & nbar(v2)) | b1 | 1 << (v2 - 1))
     # lone A-side (resp. B-side) vertex whose set no B-side vertex can join
     if An and Bn:
-        for v1 in bits(An):
-            ns1 = adj[v1 - 1] & S
-            alone = True
-            for v2 in bits(Bn & ~adj[v1 - 1]):
-                if not ((adj[v2 - 1] & S) & ~ns1):
-                    alone = False
-                    break
-            if alone:
-                emit.add(nbar(v1) | 1 << (v1 - 1))
-        for v2 in bits(Bn):
-            ns2 = adj[v2 - 1] & S
-            alone = True
-            for v1 in bits(An & ~adj[v2 - 1]):
-                if not ((adj[v1 - 1] & S) & ~ns2):
-                    alone = False
-                    break
-            if alone:
-                emit.add(nbar(v2) | 1 << (v2 - 1))
+        for P, Q in ((An, Bn), (Bn, An)):
+            for v1 in bits(P):
+                ns1 = adj[v1 - 1] & S
+                if all(adj[v2 - 1] & S & ~ns1 for v2 in bits(Q & ~adj[v1 - 1])):
+                    emit.add(nbar(v1) | 1 << (v1 - 1))
 
     return canonical_family(
         set_of_mask(m) for m in emit if is_maximal_independent(adj, m)

@@ -22,7 +22,6 @@ from .graphs import (
     complement,
     content_lines,
     mask_of,
-    set_of_mask,
 )
 from .knapsack import (
     DkpInstance,
@@ -66,7 +65,7 @@ def independence_table(g):
 def brute_independent_sets(g):
     tab = independence_table(g)
     return canonical_family(
-        set_of_mask(m) for m in range(1, 1 << g.n) if tab[m]
+        reference_set_of_mask(m) for m in range(1, 1 << g.n) if tab[m]
     )
 
 
@@ -92,7 +91,8 @@ def _maximal_independent_masks(g):
 
 
 def brute_maximal_independent_sets(g):
-    return canonical_family(set_of_mask(m) for m in _maximal_independent_masks(g))
+    masks = _maximal_independent_masks(g)
+    return canonical_family(reference_set_of_mask(m) for m in masks)
 
 
 def brute_alpha(g):
@@ -106,7 +106,7 @@ def brute_maximum_independent_sets(g):
     if a == 0:
         return []
     return canonical_family(
-        set_of_mask(m)
+        reference_set_of_mask(m)
         for m in range(1, 1 << g.n)
         if tab[m] and bin(m).count("1") == a
     )
@@ -441,6 +441,29 @@ def brute_dbp_opt(size_vectors):
 # They return the library's report and solution types.
 
 
+def reference_set_of_mask(m):
+    """The vertices of the mask, shifting it one bit at a time."""
+    out = []
+    v = 1
+    while m:
+        if m & 1:
+            out.append(v)
+        m >>= 1
+        v += 1
+    return tuple(out)
+
+
+def reference_pairs(masks):
+    """The edges (u, v), u < v, of the graph with adjacency masks `masks`,
+    in lexicographic order, clearing one low bit of a shifted row per edge."""
+    for u, m in enumerate(masks, start=1):
+        m >>= u  # bit k now stands for vertex u + 1 + k
+        while m:
+            low = m & -m
+            yield u, u + low.bit_length()
+            m ^= low
+
+
 def reference_forbidden_witness(g):
     """Search 4-subsets for an induced 2K2, P4, or C4.  O(n^4)."""
     adj = g.masks
@@ -722,7 +745,7 @@ def reference_enumerate_mis_k(cover):
     O(F^2) in the number F of distinct intersections."""
     fams = [[mask_of(s) for s in enumerate_mis(cs)] for cs in cover.members]
     inters = _intersections(fams)
-    return canonical_family(set_of_mask(m) for m in _drop_subsets(inters))
+    return canonical_family(reference_set_of_mask(m) for m in _drop_subsets(inters))
 
 
 def reference_enumerate_mc_intersection(cover):
@@ -733,7 +756,7 @@ def reference_enumerate_mc_intersection(cover):
         for cs in cover.members
     ]
     inters = _intersections(fams)
-    return canonical_family(set_of_mask(m) for m in _drop_subsets(inters))
+    return canonical_family(reference_set_of_mask(m) for m in _drop_subsets(inters))
 
 
 def reference_threshold_to_kp(cs, profits=None):

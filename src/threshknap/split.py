@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     ContractError,
+    bits,
     canonical_family,
     is_maximal_independent,
     mask_of,
@@ -57,7 +58,7 @@ def _split_witness(adj):
                 seen = 1 << u
                 while True:
                     reach = 0
-                    for x in set_of_mask(layers[-1]):
+                    for x in bits(layers[-1]):
                         reach |= nbr[x - 1]
                     if reach >> w & 1:
                         break
@@ -74,7 +75,7 @@ def _split_witness(adj):
                 return tuple(sorted(x + 1 for x in cycle)), tag
             count[v] = -1
             numbered |= 1 << v
-            for x in set_of_mask(nbr[v] & ~numbered):
+            for x in bits(nbr[v] & ~numbered):
                 count[x - 1] += 1
                 last[x - 1] = v
     return None, None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     CapacityError,
+    bits,
     canonical_family,
     content_lines,
     graph_from_masks,
@@ -110,7 +111,7 @@ def _forbidden_witness(adj, remaining):
     def lowest(mask):
         return (mask & -mask).bit_length()
 
-    u = max(set_of_mask(remaining), key=lambda v: (adj[v - 1] & remaining).bit_count())
+    u = max(bits(remaining), key=lambda v: (adj[v - 1] & remaining).bit_count())
     w = lowest(remaining & ~adj[u - 1] & ~(1 << (u - 1)))
     x = lowest(adj[w - 1] & remaining)
     y = lowest(adj[u - 1] & remaining & ~adj[x - 1] & ~(1 << (x - 1)))
@@ -197,18 +198,22 @@ def alpha_omega(cs):
     return (cs.n - ones + 1, ones)
 
 
-def enumerate_mis(cs):
-    """All maximal independent sets: scan positions n..1, accumulate 0-bit
-    vertices, emit the accumulator plus v(i) at every 1-bit."""
-    acc = []
-    fam = []
-    for i in range(cs.n, 0, -1):
-        v = cs.vertex(i)
-        if cs.bits[i - 1] == "0":
-            acc.append(v)
+def mis_masks(cs):
+    """The maximal independent sets as masks, one per 1-bit: v(i) plus the
+    0-bit vertices after position i, from one scan of positions n..1."""
+    acc = 0
+    out = []
+    for b, v in zip(reversed(cs.bits), reversed(cs.vmap)):
+        if b == "0":
+            acc |= 1 << (v - 1)
         else:
-            fam.append(tuple(sorted(acc + [v])))
-    return canonical_family(fam)
+            out.append(acc | 1 << (v - 1))
+    return out
+
+
+def enumerate_mis(cs):
+    """All maximal independent sets, canonical order."""
+    return canonical_family(set_of_mask(m) for m in mis_masks(cs))
 
 
 def count_mis(cs):

@@ -7,11 +7,14 @@ as the peel that recounted every degree, and witnesses that induce the
 forbidden subgraph they name, on threshold graphs with and without a
 flipped pair, G(n, p), planted cycles and complements.  Covers: the
 per-candidate maximality test gives the families the pairwise subset
-filter gave.  Parsing: the mask-filling parser gives the reference parser's
-Graph, or its exception class and message, on valid and mutated files; the
-integer-row instance parser gives the Fraction parser's instance and views,
-or its exception class and message, and its numeral fast path gives
-`rational`'s value or error on every string shape."""
+filter gave; a sequence's maximal-set masks are the brute-force family.
+The mask walk: `bits`, `set_of_mask`, the edge walk and the printer give
+the bit-shifting loops' vertices, edges and text.  Parsing: the
+mask-filling parser gives the reference parser's Graph, or its exception
+class and message, on valid and mutated files; the integer-row instance
+parser gives the Fraction parser's instance and views, or its exception
+class and message, and its numeral fast path gives `rational`'s value or
+error on every string shape."""
 import json
 import math
 import random
@@ -26,14 +29,19 @@ from hypothesis import strategies as st
 from threshknap import oracle
 from threshknap.graphs import (
     Graph,
+    _pairs,
     adjacency_masks,
+    bits,
     clique_number,
     complement,
+    format_graph,
     parse_graph,
     induced_subgraph,
     is_clique,
     is_independent_set,
     is_maximal_independent,
+    mask_of,
+    set_of_mask,
 )
 from threshknap.knapsack import (
     BpInstance,
@@ -68,6 +76,7 @@ from threshknap.threshold import (
     CreationSequence,
     RecognitionFailure,
     creation_sequence_to_graph,
+    mis_masks,
     recognize_threshold,
     sequence_from_bits,
     split_partition,
@@ -482,6 +491,64 @@ def test_witnesses_on_cycles_and_their_complements(length):
         assert_threshold_matches_reference(g)
         got = recognize_split(g, want_witness=True)
         assert_witness(g, got, SPLIT_TAGS)
+
+
+# --- the mask walk --------------------------------------------------------------
+
+
+@st.composite
+def masks(draw):
+    """0 or 1, one high bit, or a sparse or dense mask, up to bit 5000."""
+    kind = draw(st.sampled_from(("tiny", "single", "sparse", "dense")))
+    if kind == "tiny":
+        return draw(st.sampled_from((0, 1)))
+    top = draw(st.integers(min_value=0, max_value=5000))
+    if kind == "single":
+        return 1 << top
+    if kind == "sparse":
+        return mask_of(draw(st.sets(st.integers(min_value=1, max_value=top + 1), max_size=40)))
+    return random.Random(draw(st.integers(min_value=0, max_value=10**6))).getrandbits(top + 1)
+
+
+@given(masks())
+@settings(max_examples=300, deadline=None)
+@example(0)
+@example(1)
+@example(1 << 5000)
+@example((1 << 5001) - 1)
+def test_bits_and_set_of_mask_match_reference(m):
+    expected = oracle.reference_set_of_mask(m)
+    assert tuple(bits(m)) == expected
+    assert set_of_mask(m) == expected
+
+
+@given(st.integers(min_value=0, max_value=10**6), masks())
+@settings(max_examples=150, deadline=None)
+def test_edge_walk_and_printer_match_reference(seed, m):
+    # a random graph, and a star from vertex 1 to the vertices of m
+    members = oracle.reference_set_of_mask(m)
+    star = Graph(max(m.bit_length(), 1), [(1, v) for v in members if v > 1])
+    for g in (random_graph(seed, 60), star):
+        pairs = list(oracle.reference_pairs(g.masks))
+        assert list(_pairs(g.masks)) == pairs
+        assert g.edges == frozenset(pairs)
+        assert format_graph(g) == "".join(
+            [f"p {g.n} {len(pairs)}\n", *(f"e {u} {v}\n" for u, v in pairs)]
+        )
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_sequence_mis_masks_match_brute_force_up_to_12(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    vmap = list(range(1, n + 1))
+    rng.shuffle(vmap)
+    cs = sequence_from_bits("1" + "".join(rng.choice("01") for _ in range(n - 1)), vmap)
+    got = mis_masks(cs)
+    brute = oracle.brute_maximal_independent_sets(creation_sequence_to_graph(cs))
+    assert len(got) == len(set(got)) == cs.bits.count("1")
+    assert set(got) == {mask_of(s) for s in brute}
 
 
 # --- cover enumeration ----------------------------------------------------------

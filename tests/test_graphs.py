@@ -70,6 +70,15 @@ def test_degree_and_neighbors():
     assert PAW.vertices == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("v", [0, -1, 5])
+def test_degree_and_neighbors_reject_vertices_outside_range(v):
+    # 0 and -1 once read the last vertex's row, 5 = n + 1 raised IndexError
+    with pytest.raises(VertexRangeError):
+        PAW.degree(v)
+    with pytest.raises(VertexRangeError):
+        PAW.neighbors(v)
+
+
 def test_adjacency_masks_match_neighbors():
     masks = adjacency_masks(PAW)
     for v in PAW.vertices:
