@@ -131,10 +131,22 @@ _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 def bits(mask):
     """The vertices of the mask (bit v-1 for vertex v) in increasing order.
 
-    The binary digits are read lowest first by C-level passes (`bin`, a
-    reversing slice, `translate`, `compress`), so the walk costs one scan of
-    the digits plus one Python step per vertex it yields."""
+    A mask of k vertices and L binary digits is walked one of two ways: by
+    C-level passes over its digits (`bin`, a reversing slice, `translate`,
+    `compress`), or by clearing its lowest bit once per vertex, three
+    big-int operations over L/30 machine digits each.  The second is taken
+    while 16k < L + 128 and k < 256, near where the two costs cross."""
+    k = mask.bit_count()
+    if k < 256 and k << 4 < mask.bit_length() + 128:
+        return _low_bits(mask)
     return compress(count(1), bin(mask)[:1:-1].encode().translate(_SELECTORS))
+
+
+def _low_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def _pairs(masks):

@@ -7,7 +7,7 @@ as the peel that recounted every degree, and witnesses that induce the
 forbidden subgraph they name, on threshold graphs with and without a
 flipped pair, G(n, p), planted cycles and complements.  Covers: the
 per-candidate maximality test gives the families the pairwise subset
-filter gave; a sequence's maximal-set masks are the brute-force family.
+filter gave.
 The mask walk: `bits`, `set_of_mask`, the edge walk and the printer give
 the bit-shifting loops' vertices, edges and text.  Parsing: the
 mask-filling parser gives the reference parser's Graph, or its exception
@@ -76,7 +76,6 @@ from threshknap.threshold import (
     CreationSequence,
     RecognitionFailure,
     creation_sequence_to_graph,
-    mis_masks,
     recognize_threshold,
     sequence_from_bits,
     split_partition,
@@ -498,7 +497,10 @@ def test_witnesses_on_cycles_and_their_complements(length):
 
 @st.composite
 def masks(draw):
-    """0 or 1, one high bit, or a sparse or dense mask, up to bit 5000."""
+    """0 or 1, one high bit, or a sparse or dense mask, up to bit 5000.
+    `bits` clears low bits of masks with k < 256 members and 16k < L + 128
+    binary digits, and scans the digits of the others; the sparse draws,
+    up to 300 members, fall on both sides."""
     kind = draw(st.sampled_from(("tiny", "single", "sparse", "dense")))
     if kind == "tiny":
         return draw(st.sampled_from((0, 1)))
@@ -506,7 +508,7 @@ def masks(draw):
     if kind == "single":
         return 1 << top
     if kind == "sparse":
-        return mask_of(draw(st.sets(st.integers(min_value=1, max_value=top + 1), max_size=40)))
+        return mask_of(draw(st.sets(st.integers(min_value=1, max_value=top + 1), max_size=300)))
     return random.Random(draw(st.integers(min_value=0, max_value=10**6))).getrandbits(top + 1)
 
 
@@ -516,6 +518,10 @@ def masks(draw):
 @example(1)
 @example(1 << 5000)
 @example((1 << 5001) - 1)
+@example((1 << 32) | 511)  # k = 10, L = 33: cleared
+@example((1 << 31) | 511)  # k = 10, L = 32: scanned
+@example(sum(1 << 16 * i for i in range(255)))  # k = 255, L = 4065: cleared
+@example(sum(1 << 16 * i for i in range(256)))  # k = 256, L = 4081: scanned
 def test_bits_and_set_of_mask_match_reference(m):
     expected = oracle.reference_set_of_mask(m)
     assert tuple(bits(m)) == expected
@@ -525,30 +531,19 @@ def test_bits_and_set_of_mask_match_reference(m):
 @given(st.integers(min_value=0, max_value=10**6), masks())
 @settings(max_examples=150, deadline=None)
 def test_edge_walk_and_printer_match_reference(seed, m):
-    # a random graph, and a star from vertex 1 to the vertices of m
+    # a random graph, and stars between the vertices of m and the first or
+    # the last vertex: one long row, or many long rows of one edge each
     members = oracle.reference_set_of_mask(m)
-    star = Graph(max(m.bit_length(), 1), [(1, v) for v in members if v > 1])
-    for g in (random_graph(seed, 60), star):
+    n = max(m.bit_length(), 1)
+    first = Graph(n, [(1, v) for v in members if v > 1])
+    last = Graph(n, [(v, n) for v in members if v < n])
+    for g in (random_graph(seed, 60), first, last):
         pairs = list(oracle.reference_pairs(g.masks))
         assert list(_pairs(g.masks)) == pairs
         assert g.edges == frozenset(pairs)
         assert format_graph(g) == "".join(
             [f"p {g.n} {len(pairs)}\n", *(f"e {u} {v}\n" for u, v in pairs)]
         )
-
-
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=200, deadline=None)
-def test_sequence_mis_masks_match_brute_force_up_to_12(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 12)
-    vmap = list(range(1, n + 1))
-    rng.shuffle(vmap)
-    cs = sequence_from_bits("1" + "".join(rng.choice("01") for _ in range(n - 1)), vmap)
-    got = mis_masks(cs)
-    brute = oracle.brute_maximal_independent_sets(creation_sequence_to_graph(cs))
-    assert len(got) == len(set(got)) == cs.bits.count("1")
-    assert set(got) == {mask_of(s) for s in brute}
 
 
 # --- cover enumeration ----------------------------------------------------------

@@ -28,6 +28,7 @@ from threshknap.threshold import (
     enumerate_is,
     enumerate_max_cliques,
     enumerate_mis,
+    mis_masks,
     parse_sequence,
     recognize_threshold,
     sequence_from_bits,
@@ -43,7 +44,7 @@ bit_strings = st.integers(min_value=0, max_value=1).map(str)
 def sequences(draw, max_n=10):
     n = draw(st.integers(min_value=1, max_value=max_n))
     tail = "".join(draw(st.lists(bit_strings, min_size=n - 1, max_size=n - 1)))
-    return sequence_from_bits("1" + tail)
+    return sequence_from_bits("1" + tail, draw(st.permutations(range(1, n + 1))))
 
 
 def all_sequences(n):
@@ -162,7 +163,8 @@ def test_enumerate_mis_matches_oracle(cs):
     g = creation_sequence_to_graph(cs)
     fam = enumerate_mis(cs)
     assert fam == oracle.brute_maximal_independent_sets(g)
-    assert count_mis(cs) == len(fam)
+    masks = mis_masks(cs)
+    assert count_mis(cs) == len(fam) == len(masks) == len(set(masks))
 
 
 @given(sequences(max_n=9))
