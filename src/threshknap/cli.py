@@ -37,6 +37,9 @@ from .kthreshold import (
     enumerate_is_k,
     enumerate_mc_intersection,
     enumerate_mis_k,
+    im_masks_k,
+    mc_masks_intersection,
+    mis_masks_k,
     parse_cover,
 )
 from .split import recognize_split
@@ -109,6 +112,14 @@ _COVER_ENUM = {
     "is": enumerate_is_k,
     "mc": enumerate_mc_intersection,
 }
+# the same families counted: as masks, with no vertex tuple or sort, but for
+# `is`, which lists its sets
+_COVER_COUNT = {
+    "mis": mis_masks_k,
+    "im": im_masks_k,
+    "is": enumerate_is_k,
+    "mc": mc_masks_intersection,
+}
 
 
 def _print_family(fam):
@@ -120,11 +131,11 @@ def _cmd_enumerate(args):
     text = _read(args.file)
     shape = _sniff(text)
     if shape == "cover":
-        fam = _COVER_ENUM[args.kind](parse_cover(text))
+        cover = parse_cover(text)
         if args.count_only:
-            print(len(fam))
+            print(len(_COVER_COUNT[args.kind](cover)))
         else:
-            _print_family(fam)
+            _print_family(_COVER_ENUM[args.kind](cover))
         return 0
     cs = _threshold_sequence(text, shape)
     if cs is None:

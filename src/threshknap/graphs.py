@@ -336,17 +336,21 @@ def format_graph(g):
     return "\n".join(lines) + "\n"
 
 
-def _cliques(adj):
+def _cliques(adj, largest=False):
     """Masks of the maximal cliques of the graph with adjacency masks adj,
     by Bron-Kerbosch with pivoting.  The recursion runs on an explicit
     stack, so clique size is not bounded by the interpreter's recursion
-    limit."""
+    limit.  With `largest`, the walk is a branch and bound for one maximum
+    clique: a frame is skipped once its clique r and candidates p together
+    cannot beat the largest clique found so far, and only cliques larger
+    than every earlier one are listed, so the last is a maximum clique."""
     out = []
+    best = 0  # the largest clique listed so far
 
     def pivot_candidates(p, x):
         # pivot: the first vertex of p|x with most neighbors inside p
-        best = max(bits(p | x), key=lambda v: (adj[v - 1] & p).bit_count())
-        return p & ~adj[best - 1]
+        pivot = max(bits(p | x), key=lambda v: (adj[v - 1] & p).bit_count())
+        return p & ~adj[pivot - 1]
 
     # frames [r, p, x, candidates left]; a child call takes the lowest
     # candidate, after which the parent moves it from p to x
@@ -357,7 +361,7 @@ def _cliques(adj):
     while stack:
         frame = stack[-1]
         r, p, x, cand = frame
-        if not cand:
+        if not cand or largest and r.bit_count() + p.bit_count() <= best:
             stack.pop()
             continue
         low = cand & -cand
@@ -365,8 +369,10 @@ def _cliques(adj):
         frame[1], frame[2], frame[3] = p ^ low, x | low, cand ^ low
         cr, cp, cx = r | low, p & adj[v], x & adj[v]
         if cp == 0 and cx == 0:
-            out.append(cr)
-        else:
+            if not largest or cr.bit_count() > best:
+                out.append(cr)
+                best = cr.bit_count()
+        elif not largest or cr.bit_count() + cp.bit_count() > best:
             stack.append([cr, cp, cx, pivot_candidates(cp, cx)])
     return out
 
@@ -378,4 +384,4 @@ def maximal_cliques(g):
 
 def clique_number(g):
     """Exact ω(g); 0 for the empty graph."""
-    return max((c.bit_count() for c in _cliques(g.masks)), default=0)
+    return max((c.bit_count() for c in _cliques(g.masks, largest=True)), default=0)

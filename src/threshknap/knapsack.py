@@ -27,8 +27,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .graphs import Graph, _cliques, format_graph
-from .kthreshold import ThresholdCover, enumerate_mis_k, omega_intersection
+from .graphs import Graph, _cliques, bits, format_graph
+from .kthreshold import ThresholdCover, mis_masks_k, omega_intersection
 from .threshold import (
     CreationSequence,
     _recognize,
@@ -573,6 +573,28 @@ def _shrink_witness(members, weight, rows):
     return tuple(sorted(kept))
 
 
+def _precedes(a, b):
+    """Does the set of mask a come before that of mask b in canonical order
+    (fewer members, then the smaller sorted tuple)?  Among sets of one
+    size, the first is the one holding the lowest member of a ^ b."""
+    ka, kb = a.bit_count(), b.bit_count()
+    if ka != kb:
+        return ka < kb
+    d = a ^ b
+    return bool(a & d & -d)
+
+
+def _total(padded, m):
+    """The total over the items of mask m (bit j for item j) of a row
+    given as `padded`, its values after one leading 0."""
+    return sum(map(padded.__getitem__, bits(m)))
+
+
+def _members(m):
+    """0-based items of the mask m, in increasing order."""
+    return tuple(v - 1 for v in bits(m))
+
+
 def _decide(ids, rows):
     """(report, sequence, family) for the `_Row`s of an instance.
     Feasibility of every maximal independent set of the conflict graph is
@@ -581,7 +603,8 @@ def _decide(ids, rows):
     to the witness.  The sets are read off `sequence` when the conflict
     graph is threshold: always for one row, and for several rows when their
     union is; each row then gives its own first overfull set.  Otherwise
-    `family` lists them, 0-based and in canonical order."""
+    `family` holds them as masks of the cover's union (bit j for item j),
+    in no order; only the witness becomes a tuple."""
     limits = [(row.sizes, row.capacity) for row in rows]
     conflict = cs = rows[0].sequence
     fam, members = [], None
@@ -592,17 +615,21 @@ def _decide(ids, rows):
         cs = _recognize(conflict.union_masks)
         if not isinstance(cs, CreationSequence):
             cs = None
-            fam = [tuple(v - 1 for v in s) for s in enumerate_mis_k(conflict)]
+            fam = mis_masks_k(conflict)
     if cs is not None:
         firsts = [_first_overfull(cs, sizes, cap) for sizes, cap in limits]
         first = min(filter(None, firsts), default=None)
         if first is not None:
             members = _mis_members(cs, first[2])
     else:
-        members = next(
-            (s for s in fam if any(sum(sizes[j] for j in s) > cap for sizes, cap in limits)),
-            None,
-        )
+        padded = [((0, *sizes), cap) for sizes, cap in limits]
+        first = 0  # the first overfull set so far, 0 for none
+        for m in fam:
+            if (not first or _precedes(m, first)) and any(
+                _total(row, m) > cap for row, cap in padded
+            ):
+                first = m
+        members = _members(first) if first else None
     if members is None:
         return EquivalenceReport(True, conflict, None), cs, fam
     if len(rows) == 1:
@@ -643,17 +670,16 @@ def check_equivalence_kp(inst):
     return _decide(inst.ids, _rows(inst))[0]
 
 
-def _best_candidate(candidates, profits):
-    """Max total of the integer `profits`; ties go to fewer items, then
+def _best_candidate(masks, profits):
+    """The mask of max total of the integer `profits` (bit j for item j)
+    and that total, the empty set 0 included; ties go to fewer items, then
     lexicographic indices."""
-    best = ()
-    best_profit = 0
-    best_key = (0, ())
-    for cand in candidates:
-        p = sum(profits[j] for j in cand)
-        key = (len(cand), cand)
-        if p > best_profit or (p == best_profit and key < best_key):
-            best, best_profit, best_key = cand, p, key
+    padded = (0, *profits)
+    best = best_profit = 0
+    for m in masks:
+        p = _total(padded, m)
+        if p > best_profit or (p == best_profit and _precedes(m, best)):
+            best, best_profit = m, p
     return best, best_profit
 
 
@@ -668,7 +694,8 @@ def solve_kp_equivalent(inst):
     if not rep.equivalent:
         raise NotEquivalentError(rep)
     if cs is None:
-        chosen, profit = _best_candidate(fam + [()], inst.profits)
+        best, profit = _best_candidate(fam, inst.profits)
+        chosen = _members(best)
     else:
         best = None  # (-profit, 0-bit count, item of v(i), position i)
         for i, zeros, j, p in _mis_walk(cs, inst.profits):
@@ -742,8 +769,9 @@ def _check_dimensions_equivalent(inst):
 def dvp_lower_bound(inst):
     """Vector packing: clique number of the union conflict graph.  When the
     union is itself threshold the number falls out of its sequence; otherwise
-    it is computed by maximal-clique enumeration on the union's adjacency
-    masks directly."""
+    a branch and bound over the Bron-Kerbosch walk on the union's adjacency
+    masks finds it, skipping every branch that cannot beat the largest
+    clique found so far."""
     _require_unit_view(inst)
     if inst.n == 0:
         return 0
@@ -751,7 +779,7 @@ def dvp_lower_bound(inst):
     got = _recognize(adj)
     if isinstance(got, CreationSequence):
         return alpha_omega(got)[1]
-    return max(c.bit_count() for c in _cliques(adj))
+    return _cliques(adj, largest=True)[-1].bit_count()
 
 
 def dbp_lower_bound(inst):

@@ -719,7 +719,9 @@ def reference_solve_dkp_equivalent(inst):
     return Solution(tuple(inst.items[j].id for j in chosen), profit, totals)
 
 
-def _intersections(families):
+def reference_intersections(families):
+    """The distinct nonzero intersections of one mask per family, by
+    forming every tuple of the Cartesian product."""
     seen = set()
     for tup in product(*families):
         m = tup[0]
@@ -744,7 +746,7 @@ def reference_enumerate_mis_k(cover):
     per-member maximal sets, then discard subsets of other results.
     O(F^2) in the number F of distinct intersections."""
     fams = [[mask_of(s) for s in enumerate_mis(cs)] for cs in cover.members]
-    inters = _intersections(fams)
+    inters = reference_intersections(fams)
     return canonical_family(reference_set_of_mask(m) for m in _drop_subsets(inters))
 
 
@@ -755,7 +757,7 @@ def reference_enumerate_mc_intersection(cover):
         [mask_of(s) for s in enumerate_mis(complement_sequence(cs))]
         for cs in cover.members
     ]
-    inters = _intersections(fams)
+    inters = reference_intersections(fams)
     return canonical_family(reference_set_of_mask(m) for m in _drop_subsets(inters))
 
 

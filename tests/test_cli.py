@@ -93,6 +93,19 @@ def test_enumerate_counts_match_family_sizes(write, capsys):
         assert int(cnt.strip()) == len(fam.splitlines())
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_cover_counts_match_listed_families(k, write, capsys):
+    # counts come from the masks; the listing from canonical vertex tuples
+    for seed in range(12):
+        rc, text, _ = run(capsys, ["gen", "cover", "--n", str(4 + 3 * seed), "--k", str(k), "--seed", str(seed)])
+        path = write(f"c{seed}", text)
+        for kind in ("mis", "im", "mc"):
+            rc, fam, _ = run(capsys, ["enumerate", kind, path])
+            assert rc == 0
+            rc, cnt, _ = run(capsys, ["enumerate", kind, "--count-only", path])
+            assert rc == 0 and cnt == f"{len(fam.splitlines())}\n"
+
+
 def test_enumerate_threshold_graph_file(write, capsys):
     rc, out, _ = run(capsys, ["enumerate", "mis", write("g", PAW_GRAPH)])
     assert rc == 0
@@ -494,3 +507,68 @@ def test_internal_error_exits_3_with_one_stderr_line(write, capsys, monkeypatch)
     path = write("i.json", json.dumps(_row_instances()[0]))
     rc, out, err = run(capsys, ["check", path])
     assert (rc, out, err) == (3, "", "error: internal: RuntimeError: lost invariant\n")
+
+
+def _unions_that_are_not_threshold(d, seed, count=12):
+    """Instances of d rows on up to 12 items whose union conflict graph is
+    not threshold: half built row by row from relabelled sequences, so
+    every row (and the union) is equivalent, half with small random sizes,
+    mostly not equivalent.  Profits in 0..3 give many ties."""
+    import random
+
+    from threshknap.knapsack import DkpInstance, DkpItem, conflict_cover_dkp
+    from threshknap.threshold import CreationSequence, _recognize, sequence_from_bits, threshold_to_kp
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 12)
+        profits = [rng.randint(0, 3) for _ in range(n)]
+        if len(out) % 2 == 0:
+            rows = []
+            for _ in range(d):
+                vmap = list(range(1, n + 1))
+                rng.shuffle(vmap)
+                cs = sequence_from_bits("1" + "".join(rng.choice("01") for _ in range(n - 1)), vmap)
+                row = threshold_to_kp(cs)
+                rows.append(([it.size for it in row.items], row.capacity))
+        else:
+            rows = [([rng.randint(1, 9) for _ in range(n)], rng.randint(8, 16)) for _ in range(d)]
+        items = [
+            DkpItem(f"a{j + 1}", profits[j], tuple(sizes[j] for sizes, _ in rows))
+            for j in range(n)
+        ]
+        inst = DkpInstance(items, [cap for _, cap in rows])
+        union = conflict_cover_dkp(inst).union_masks
+        if not isinstance(_recognize(union), CreationSequence):
+            out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_and_solve_on_non_threshold_unions_match_reference(d, write, capsys):
+    from threshknap import oracle
+    from threshknap.knapsack import format_instance, format_rational
+
+    instances = _unions_that_are_not_threshold(d, seed=d)
+    equivalent = 0
+    for j, inst in enumerate(instances):
+        path = write(f"i{j}.json", format_instance(inst))
+        ref = oracle.reference_check_equivalence_dkp(inst)
+        rc, out, _ = run(capsys, ["check", path])
+        report = json.loads(out)
+        assert rc == (0 if ref.equivalent else 1)
+        assert report["equivalent"] == ref.equivalent
+        assert report["witness"] == (list(ref.witness) if ref.witness else None)
+        rc, solved, _ = run(capsys, ["solve", path])
+        if not ref.equivalent:
+            assert (rc, solved) == (1, out)  # the refusal prints the same report
+            continue
+        equivalent += 1
+        sol = oracle.reference_solve_dkp_equivalent(inst)
+        got = json.loads(solved)
+        assert rc == 0
+        assert got["chosen"] == list(sol.chosen)
+        assert got["profit"] == format_rational(sol.profit)
+        assert got["dimension_totals"] == [format_rational(t) for t in sol.dimension_totals]
+    assert 4 <= equivalent <= len(instances) - 3  # both verdicts are exercised

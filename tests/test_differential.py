@@ -6,8 +6,10 @@ sweep has to get right.  Recognition: same verdicts and creation sequences
 as the peel that recounted every degree, and witnesses that induce the
 forbidden subgraph they name, on threshold graphs with and without a
 flipped pair, G(n, p), planted cycles and complements.  Covers: the
+member-by-member intersections are the tuple product's, and the
 per-candidate maximality test gives the families the pairwise subset
-filter gave.
+filter gave.  Bron-Kerbosch: the branch and bound finds the clique number
+that brute force and the full walk find.
 The mask walk: `bits`, `set_of_mask`, the edge walk and the printer give
 the bit-shifting loops' vertices, edges and text.  Parsing: the
 mask-filling parser gives the reference parser's Graph, or its exception
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from threshknap import oracle
 from threshknap.graphs import (
+    _cliques,
     Graph,
     _pairs,
     adjacency_masks,
@@ -65,9 +68,11 @@ from threshknap.knapsack import (
     solve_dkp_equivalent,
     solve_kp_equivalent,
 )
+from threshknap import kthreshold
 from threshknap.kthreshold import (
     cover_from_sequences,
     enumerate_mc_intersection,
+    enumerate_mis_2t,
     enumerate_mis_k,
     omega_intersection,
 )
@@ -75,7 +80,9 @@ from threshknap.split import recognize_split
 from threshknap.threshold import (
     CreationSequence,
     RecognitionFailure,
+    complement_sequence,
     creation_sequence_to_graph,
+    mis_masks,
     recognize_threshold,
     sequence_from_bits,
     split_partition,
@@ -356,6 +363,28 @@ def test_clique_number_beyond_recursion_limit():
         sys.setrecursionlimit(saved)
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_largest_clique_walk_matches_brute_omega_up_to_12(seed):
+    g = random_graph(seed, 12)
+    assert clique_number(g) == oracle.brute_omega(g)
+    listed = _cliques(g.masks, largest=True)
+    sizes = [c.bit_count() for c in listed]
+    assert sizes == sorted(set(sizes))  # each one beats the one before
+    assert set(listed) <= set(_cliques(g.masks))
+    assert (sizes[-1] if sizes else 0) == oracle.brute_omega(g)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_largest_clique_walk_matches_full_walk_on_unions_up_to_120(seed):
+    adj = random_cover(seed, 120).union_masks
+    every = _cliques(adj)
+    listed = _cliques(adj, largest=True)
+    assert set(listed) <= set(every)
+    assert listed[-1].bit_count() == max(c.bit_count() for c in every)
+
+
 # --- recognition ----------------------------------------------------------------
 
 FORBIDDEN = {
@@ -550,10 +579,12 @@ def test_edge_walk_and_printer_match_reference(seed, m):
 
 
 def random_cover(seed, max_n):
-    """k in {2, 3} relabelled sequences on n <= max_n vertices, each with its
-    own 1-bit density."""
+    """k in {2, 3, 4} relabelled sequences on n vertices, each with its own
+    1-bit density: n <= max_n, or n <= max_n // 4 for four members, where
+    the reference's tuple product would otherwise run to millions."""
     rng = random.Random(seed)
-    k, n = rng.choice((2, 3)), rng.randint(1, max_n)
+    k = rng.choice((2, 3, 4))
+    n = rng.randint(1, max_n if k < 4 else max(max_n // 4, 1))
     seqs = []
     for _ in range(k):
         p = rng.random()
@@ -570,6 +601,22 @@ def test_cover_families_match_reference_up_to_120(seed):
     cover = random_cover(seed, 120)
     assert enumerate_mis_k(cover) == oracle.reference_enumerate_mis_k(cover)
     assert enumerate_mc_intersection(cover) == oracle.reference_enumerate_mc_intersection(cover)
+    if cover.k == 2:  # the paper's four-class algorithm gives the same family
+        assert enumerate_mis_2t(cover) == enumerate_mis_k(cover)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_member_by_member_intersections_match_the_tuple_product(seed):
+    cover = random_cover(seed, 60)
+    complements = [complement_sequence(cs) for cs in cover.members]
+    for members in (cover.members, complements):
+        families = [mis_masks(cs) for cs in members]
+        exact = kthreshold._intersections(families)
+        assert exact == oracle.reference_intersections(families)
+        # the maximal-set path keeps a subset; the family tests above show it
+        # keeps every maximal set
+        assert kthreshold._undominated_intersections(cover_from_sequences(members)) <= exact
 
 
 @given(st.integers(min_value=0, max_value=10**6))
