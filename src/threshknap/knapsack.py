@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .graphs import Graph, _cliques, bits, format_graph
+from .graphs import Graph, _cliques, bits, format_graph, set_of_mask
 from .kthreshold import ThresholdCover, mis_masks_k, omega_intersection
 from .threshold import (
     CreationSequence,
@@ -591,8 +591,9 @@ def _total(padded, m):
 
 
 def _members(m):
-    """0-based items of the mask m, in increasing order."""
-    return tuple(v - 1 for v in bits(m))
+    """0-based items of the mask m (vertex v is item v - 1), in increasing
+    order."""
+    return tuple(v - 1 for v in set_of_mask(m))
 
 
 def _decide(ids, rows):

@@ -5,8 +5,8 @@ give the k-threshold enumerators (independent sets); intersection semantics
 give maximal cliques.  Every maximal independent set of the union is the
 intersection of one maximal set per member, so families from members are
 combined by bitmask AND, one member at a time, keeping only the distinct
-nonzero partial intersections; for the maximal sets, only those that can
-still hold one.  Sets stay masks until a family is listed.
+nonzero partial intersections that can still hold a maximal set.  Sets stay
+masks until a family is listed.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .graphs import (
     CapacityError,
     ContractError,
     bits,
+    canonical_family,
     content_lines,
     graph_from_masks,
     is_maximal_independent,
@@ -164,42 +165,25 @@ def _member_mis_masks(cover):
 
 
 def _intersections(families):
-    """The distinct nonzero masks a1 & a2 & ... & ak, one ai per family.
-    AND is associative, so the families are taken one at a time and only
-    the distinct nonzero partial intersections are kept: the cost is the
-    sum over j of (distinct partials before family j) * |family j|, not
-    the product of the family sizes."""
+    """Distinct nonzero intersections a1 & a2 & ... & ak, one ai per family,
+    where each family is a member's `mis_masks`; all the maximal independent
+    sets of the union are among them.  The families are taken one at a
+    time, keeping the distinct nonzero partial intersections, but not all
+    of them.  A member's maximal sets are M(i) = v(i) plus Z(i), the 0-bit
+    vertices after the 1-bit position i, and Z(i) lies in Z(1).  So a
+    partial p that misses v(i) has p & M(i) inside p & M(1), and p is met
+    only with M(1) and the M(i) whose v(i) it holds.  A maximal set inside a
+    skipped partial lies inside a kept one after every later member, and
+    the last of those is independent, so it is that set."""
     partials = {-1}  # every bit set: the identity of AND
     for fam in families:
-        partials = {p & m for p in partials for m in fam}
-        partials.discard(0)
-    return partials
-
-
-def _family(masks):
-    """Distinct nonzero masks as vertex tuples in canonical order."""
-    return sorted(map(set_of_mask, masks), key=lambda t: (len(t), t))
-
-
-def _undominated_intersections(cover):
-    """Distinct nonzero intersections of one maximal set per member, taken
-    member by member like `_intersections` but keeping fewer partials; all
-    the maximal independent sets of the union are among them.  A member's
-    maximal sets are M(i) = v(i) plus Z(i), the 0-bit vertices after the
-    1-bit position i, and Z(i) lies in Z(1).  So a partial p that misses
-    v(i) has p & M(i) inside p & M(1), and p is met only with M(1) and the
-    M(i) whose v(i) it holds.  A maximal set inside a skipped partial lies
-    inside a kept one after every later member, and the last of those is
-    independent, so it is that set."""
-    partials = {-1}  # every bit set: the identity of AND
-    for cs, masks in zip(cover.members, _member_mis_masks(cover)):
-        ones = [v for b, v in zip(cs.bits, cs.vmap) if b == "1"]
-        by_vertex = dict(zip(reversed(ones), masks))  # masks run from the last 1-bit
-        first, one_mask = by_vertex[ones[0]], mask_of(ones)
+        first = fam[-1]  # M(1): `mis_masks` runs from the last 1-bit
+        by_vertex = {(m & ~first).bit_length(): m for m in fam[:-1]}  # v(i) -> M(i)
+        held = mask_of(by_vertex)
         kept = set()
         for p in partials:
             kept.add(p & first)
-            kept.update(p & by_vertex[v] for v in bits(p & one_mask))
+            kept.update(p & by_vertex[v] for v in bits(p & held))
         kept.discard(0)
         partials = kept
     return partials
@@ -207,21 +191,23 @@ def _undominated_intersections(cover):
 
 def mis_masks_k(cover):
     """Maximal independent sets of the union as masks, in no particular
-    order: the undominated intersections that are maximal in the union,
-    each tested by O(|set|) mask operations."""
+    order: the intersections that are maximal in the union, each tested by
+    O(|set|) mask operations."""
     adj = cover.union_masks
-    return [m for m in _undominated_intersections(cover) if is_maximal_independent(adj, m)]
+    inters = _intersections(_member_mis_masks(cover))
+    return [m for m in inters if is_maximal_independent(adj, m)]
 
 
 def enumerate_mis_k(cover):
     """Maximal independent sets of the union, canonical order (see
     `mis_masks_k`)."""
-    return _family(mis_masks_k(cover))
+    return canonical_family(set_of_mask(m) for m in mis_masks_k(cover))
 
 
 def im_masks_k(cover):
-    """Maximum independent sets as masks: the largest of the distinct
-    intersections, since each maximum set is one of them."""
+    """Maximum independent sets as masks: the largest intersections.  Each
+    intersection is independent in the union, and each maximum set is
+    maximal, so it is one of them."""
     inters = _intersections(_member_mis_masks(cover))
     best = max((m.bit_count() for m in inters), default=0)
     return [m for m in inters if m.bit_count() == best]
@@ -229,11 +215,12 @@ def im_masks_k(cover):
 
 def enumerate_im_k(cover):
     """Maximum independent sets, canonical order (see `im_masks_k`)."""
-    return _family(im_masks_k(cover))
+    return canonical_family(set_of_mask(m) for m in im_masks_k(cover))
 
 
 def alpha_k(cover):
-    """Independence number: the size of the largest distinct intersection."""
+    """Independence number: the size of the largest intersection (see
+    `im_masks_k`)."""
     inters = _intersections(_member_mis_masks(cover))
     return max((m.bit_count() for m in inters), default=0)
 
@@ -268,7 +255,7 @@ def mc_masks_intersection(cover):
 
 def enumerate_mc_intersection(cover):
     """Maximal cliques of the intersection, canonical order."""
-    return _family(mc_masks_intersection(cover))
+    return canonical_family(set_of_mask(m) for m in mc_masks_intersection(cover))
 
 
 def omega_intersection(cover):
@@ -381,4 +368,6 @@ def enumerate_mis_2t(cover):
                 if all(adj[v2 - 1] & S & ~ns1 for v2 in bits(Q & ~adj[v1 - 1])):
                     emit.add(nbar(v1) | 1 << (v1 - 1))
 
-    return _family(m for m in emit if is_maximal_independent(adj, m))
+    return canonical_family(
+        set_of_mask(m) for m in emit if is_maximal_independent(adj, m)
+    )

@@ -35,6 +35,7 @@ from threshknap.graphs import (
     _pairs,
     adjacency_masks,
     bits,
+    canonical_family,
     clique_number,
     complement,
     format_graph,
@@ -607,16 +608,21 @@ def test_cover_families_match_reference_up_to_120(seed):
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
-def test_member_by_member_intersections_match_the_tuple_product(seed):
+def test_member_by_member_intersections_keep_the_maximal_and_maximum_sets(seed):
     cover = random_cover(seed, 60)
     complements = [complement_sequence(cs) for cs in cover.members]
     for members in (cover.members, complements):
         families = [mis_masks(cs) for cs in members]
-        exact = kthreshold._intersections(families)
-        assert exact == oracle.reference_intersections(families)
-        # the maximal-set path keeps a subset; the family tests above show it
-        # keeps every maximal set
-        assert kthreshold._undominated_intersections(cover_from_sequences(members)) <= exact
+        got = kthreshold._intersections(families)
+        reference = oracle.reference_intersections(families)
+        assert got <= reference
+        assert set(oracle._drop_subsets(reference)) <= got  # the maximal sets
+        alpha = max(m.bit_count() for m in reference)
+        union = cover_from_sequences(members)
+        assert kthreshold.alpha_k(union) == alpha
+        assert kthreshold.enumerate_im_k(union) == canonical_family(
+            oracle.reference_set_of_mask(m) for m in reference if m.bit_count() == alpha
+        )
 
 
 @given(st.integers(min_value=0, max_value=10**6))
